@@ -83,7 +83,7 @@ class Metrics:
             mean=sum(values) / len(values),
             minimum=values[0],
             maximum=values[-1],
-            p50=values[len(values) // 2],
+            p50=nearest_rank(values, 0.50),
             p95=nearest_rank(values, 0.95),
         )
 

@@ -34,15 +34,12 @@ Design notes
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "ENGINE_ENV_VAR",
-    "ENGINE_NAMES",
     "Event",
     "Interrupt",
     "Process",
@@ -50,7 +47,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Timeout",
-    "make_simulator",
 ]
 
 
@@ -71,11 +67,6 @@ class Interrupt(Exception):
 
 class ProcessKilled(Interrupt):
     """Interrupt variant used when a node fails and kills its processes."""
-
-
-def _invoke(action: Callable[[], None]) -> None:
-    """Adapter so legacy no-argument thunks fit the ``func(arg)`` entry shape."""
-    action()
 
 
 class Event:
@@ -415,8 +406,7 @@ class Simulator:
         The snapshot restore arms resumed maintenance loops with this instead
         of :meth:`timeout`: re-deriving the delay as ``time - now`` and adding
         it back is not an exact float round-trip, and resume parity needs the
-        timer to fire at the captured instant bit-for-bit.  Routed through
-        :meth:`schedule_at`, so it works identically on the wheel engine.
+        timer to fire at the captured instant bit-for-bit.
         """
         event = Event(self)
         self.schedule_at(time, _fire_event, event)
@@ -462,18 +452,14 @@ class Simulator:
         heapq.heappush(self._queue, entry)
         return entry
 
-    def _schedule(self, delay: float, action: Callable[[], None]) -> list:
-        """Schedule a no-argument thunk (compatibility shim used by tests)."""
-        return self.schedule(delay, _invoke, action)
-
     def cancel(self, entry: Optional[list]) -> Any:
         """Tombstone a scheduled entry; the run loop skips it for free.
 
         Returns the entry's ``arg`` (or ``None`` if the entry already fired or
-        was cancelled) so callers that recycle their argument records can
-        reclaim them.  Cancelling a handle *after* its entry fired is a no-op
-        here; see :class:`repro.sim.wheel.WheelSimulator` for why the shared
-        engine contract nevertheless forbids it.
+        was cancelled): the network reads the RPC's destination from it when
+        a reply beats its expiry timer.  Cancelling a handle *after* its entry
+        fired is a no-op returning ``None``, but the timer contract below
+        still forbids it.
         """
         if entry is None or entry[2] is None:
             return None
@@ -493,12 +479,10 @@ class Simulator:
         heapq.heapify(self._queue)
         self._cancelled = 0
 
-    # Engine-agnostic timer API used by the network's RPC fast path.  On this
-    # engine a timer is just a scheduled entry; the wheel engine overrides the
-    # pair with O(1) wheel placement and tombstones that are filtered out
-    # wholesale instead of sifted through a heap.
-    # Contract for both engines: a handle is valid until its timer fires or is
-    # cancelled, whichever comes first -- never cancel after the fire.
+    # The timer API used by the network's RPC fast path: the clock contract
+    # the asyncio transport's clock implements too.  Here a timer is just a
+    # scheduled entry.  Contract: a handle is valid until its timer fires or
+    # is cancelled, whichever comes first -- never cancel after the fire.
     schedule_timer = schedule
     cancel_timer = cancel
 
@@ -579,7 +563,8 @@ class Simulator:
                 self._now = time
                 arg = entry[3]
                 # Mark the entry dead so a (contract-violating) late cancel
-                # is a visible no-op returning None, as on the wheel engine.
+                # is a visible no-op returning None instead of corrupting
+                # the tombstone count.
                 entry[2] = None
                 entry[3] = None
                 processed += 1
@@ -635,10 +620,6 @@ class Simulator:
             self.events_processed += processed
         return event._triggered
 
-    # -- identity -----------------------------------------------------------
-    #: Registry name of this engine implementation (see :func:`make_simulator`).
-    engine_name = "heap"
-
     def run_process(self, generator: ProcessGenerator, timeout: float = 1e9) -> Any:
         """Convenience: run ``generator`` to completion and return its value.
 
@@ -654,38 +635,3 @@ class Simulator:
         if not proc.ok:
             raise proc.value
         return proc.value
-
-
-# --------------------------------------------------------------------------- engine selection
-#: Environment knob forcing an engine for every simulator built through
-#: :func:`make_simulator` (e.g. ``REPRO_ENGINE=wheel`` runs the tier-1 suite
-#: on the wheel engine in CI without touching any scenario spec).
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-#: The selectable engine implementations.  ``heap`` is the default binary-heap
-#: engine above; ``wheel`` is the hierarchical timer wheel with record
-#: recycling (:mod:`repro.sim.wheel`).  Both honor the same contract:
-#: ``(time, seq)`` tie-break on the time-keyed queue, FIFO same-instant ready
-#: queue drained first, and deterministic execution for a given seed.
-ENGINE_NAMES = ("heap", "wheel")
-
-
-def make_simulator(engine: str = "heap") -> Simulator:
-    """Build the engine named ``engine`` (``heap`` or ``wheel``).
-
-    The :data:`ENGINE_ENV_VAR` environment variable, when set, overrides the
-    argument -- that is the "force the wheel engine" knob the engine-parity CI
-    job uses.  Unknown names raise :class:`SimulationError`.
-    """
-    forced = os.environ.get(ENGINE_ENV_VAR)
-    if forced:
-        engine = forced
-    if engine == "heap":
-        return Simulator()
-    if engine == "wheel":
-        from repro.sim.wheel import WheelSimulator  # deferred: wheel imports us
-
-        return WheelSimulator()
-    raise SimulationError(
-        f"unknown simulation engine {engine!r}; known: {', '.join(ENGINE_NAMES)}"
-    )

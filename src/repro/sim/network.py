@@ -25,17 +25,12 @@ samples exist), which the RTT-scaled cadence controllers in
 
 Scalability notes
 -----------------
-* The RPC expiry timer goes through the engine-agnostic
+* The RPC expiry timer goes through the clock's
   ``schedule_timer``/``cancel_timer`` API and is cancelled as soon as the
   reply is delivered.  Under churn-free operation nearly every call completes
   in milliseconds while its timer spans the full ``rpc_timeout``; without
   cancellation those dead timers dominate the event queue of large
-  deployments.  On the heap engine a cancel tombstones the entry; on the
-  wheel engine it removes and recycles the record outright.
-* The per-RPC bookkeeping records -- expiry arguments, delivery/reply
-  transfer records, reply continuations and :class:`RpcRequest` objects --
-  are recycled through freelists, so steady-state RPC traffic allocates only
-  the caller-visible reply :class:`Event`.
+  deployments.  A cancel tombstones the heap entry.
 * Messages due at exactly the same instant are *batched*: one engine entry
   drains the whole batch.  With a constant-latency model every message sent
   within one action shares a delivery slot, so a replication fan-out to ``k``
@@ -66,7 +61,7 @@ from repro.transport.api import (  # noqa: F401  (re-exported)
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.transport.endpoint import Endpoint as Node
+    from repro.transport.endpoint import Endpoint
 
 
 # --------------------------------------------------------------------------- latency models
@@ -239,28 +234,23 @@ class NetworkConfig:
 
 
 class _ReplyHandle:
-    """The reply continuation handed to :meth:`Node._handle_rpc`.
+    """The reply continuation handed to :meth:`Endpoint._handle_rpc`.
 
-    Replaces the per-RPC closure the network used to allocate; instances are
-    recycled through ``Network._reply_free`` after their single invocation.
-    A handle abandoned without being called (its node died mid-handler) is
-    simply dropped to the garbage collector.
+    A slotted record instead of a per-RPC closure.  A handle abandoned
+    without being called (its node died mid-handler) is simply dropped to
+    the garbage collector.
     """
 
     __slots__ = ("net", "request", "result", "timer")
 
-    def __init__(self, net: "Network"):
+    def __init__(self, net: "Network", request: RpcRequest, result: Event, timer: list):
         self.net = net
-        self.request: Optional[RpcRequest] = None
-        self.result: Optional[Event] = None
-        self.timer: Optional[list] = None
+        self.request = request
+        self.result = result
+        self.timer = timer
 
     def __call__(self, value: Any, error: Optional[BaseException]) -> None:
-        net = self.net
-        request, result, timer = self.request, self.result, self.timer
-        self.request = self.result = self.timer = None
-        net._reply_free.append(self)
-        net._transmit_reply(request, result, timer, value, error)
+        self.net._transmit_reply(self.request, self.result, self.timer, value, error)
 
 
 # Metric series fed to an attached collector under a LanWanLatency model.
@@ -269,7 +259,7 @@ CROSS_SITE_LATENCY_METRIC = "net_latency_cross_site"
 
 
 class Network:
-    """Connects :class:`~repro.sim.node.Node` instances by address.
+    """Connects :class:`~repro.transport.endpoint.Endpoint` instances by address.
 
     ``metrics`` is an optional collector (anything with a
     ``record(name, value)`` method, e.g. :class:`repro.harness.metrics.Metrics`).
@@ -294,19 +284,13 @@ class Network:
         self.config.validate()
         self.reconfigure()
         self.stats = NetworkStats()
-        self._nodes: Dict[str, "Node"] = {}
+        self._nodes: Dict[str, "Endpoint"] = {}
         self._next_request_id = 0
         # Pending same-instant delivery batches, keyed on absolute delivery time.
         self._batches: Dict[float, List[Tuple[Callable[[Any], None], Any]]] = {}
-        # Engine-agnostic timer API, bound once: it sits on the per-RPC path.
+        # The clock's timer API, bound once: it sits on the per-RPC path.
         self._schedule_timer = sim.schedule_timer
         self._cancel_timer = sim.cancel_timer
-        # Freelists recycling the per-RPC bookkeeping records, so steady-state
-        # traffic allocates only the caller-visible reply Event.
-        self._expiry_free: List[list] = []  # [result, method, destination]
-        self._transfer_free: List[list] = []  # 4-slot delivery/reply records
-        self._reply_free: List[_ReplyHandle] = []
-        self._request_free: List[RpcRequest] = []
         # Optional RPC observer: anything with ``rpc_issued(source,
         # destination, method)`` / ``rpc_completed(destination)``.  Every
         # ``call`` issues exactly one completion -- on reply delivery or on
@@ -317,7 +301,7 @@ class Network:
         self.observer = None
 
     # -- membership --------------------------------------------------------
-    def register(self, node: "Node") -> None:
+    def register(self, node: "Endpoint") -> None:
         """Attach ``node`` so other peers can address it."""
         self._nodes[node.address] = node
 
@@ -325,7 +309,7 @@ class Network:
         """Detach the node at ``address`` (it becomes unreachable)."""
         self._nodes.pop(address, None)
 
-    def node(self, address: str) -> Optional["Node"]:
+    def node(self, address: str) -> Optional["Endpoint"]:
         """Return the node registered at ``address``, if any."""
         return self._nodes.get(address)
 
@@ -433,25 +417,18 @@ class Network:
             per_site = self.stats.per_site_rpcs
             per_site[key] = per_site.get(key, 0) + 1
         self._next_request_id += 1
-        free = self._expiry_free
-        if free:
-            pending = free.pop()
-            pending[0] = result
-            pending[1] = method
-            pending[2] = destination
-        else:
-            pending = [result, method, destination]
-        timer = self._schedule_timer(timeout, self._expire, pending)
+        timer = self._schedule_timer(timeout, self._expire, (result, method, destination))
         if self.observer is not None:
             self.observer.rpc_issued(source, destination, method)
         self.stats.messages_sent += 1
         if self._dropped():
             self.stats.messages_dropped += 1
         else:
-            request = self._make_request(source, destination, method, payload)
-            transfer = self._make_transfer(request, result, timer, None)
+            request = RpcRequest(source, destination, method, payload, self._next_request_id)
             self._schedule_delivery(
-                self._latency(source, destination), self._deliver_request, transfer
+                self._latency(source, destination),
+                self._deliver_request,
+                (request, result, timer),
             )
         return result
 
@@ -476,80 +453,31 @@ class Network:
         if self._dropped():
             self.stats.messages_dropped += 1
             return
-        request = self._make_request(source, destination, method, payload)
-        transfer = self._make_transfer(request, None, None, None)
+        request = RpcRequest(source, destination, method, payload, self._next_request_id)
         self._schedule_delivery(
-            self._latency(source, destination), self._deliver_cast, transfer
+            self._latency(source, destination), self._deliver_cast, request
         )
 
     # -- internals ----------------------------------------------------------
-    def _make_request(
-        self, source: str, destination: str, method: str, payload: Any
-    ) -> RpcRequest:
-        free = self._request_free
-        if free:
-            request = free.pop()
-            request.source = source
-            request.destination = destination
-            request.method = method
-            request.payload = payload
-            request.request_id = self._next_request_id
-            return request
-        return RpcRequest(source, destination, method, payload, self._next_request_id)
-
-    def _recycle_request(self, request: RpcRequest) -> None:
-        request.payload = None
-        self._request_free.append(request)
-
-    def _make_transfer(self, a: Any, b: Any, c: Any, d: Any) -> list:
-        free = self._transfer_free
-        if free:
-            transfer = free.pop()
-            transfer[0] = a
-            transfer[1] = b
-            transfer[2] = c
-            transfer[3] = d
-            return transfer
-        return [a, b, c, d]
-
-    def _expire(self, pending: list) -> None:
+    def _expire(self, pending: Tuple[Event, str, str]) -> None:
         result, method, destination = pending
-        pending[0] = None
-        pending[2] = None
-        self._expiry_free.append(pending)
         if not result.triggered:
             if self.observer is not None:
                 self.observer.rpc_completed(destination)
             self.stats.rpc_timeouts += 1
             result.fail(RpcTimeout(f"{method} -> {destination} timed out"))
 
-    def _deliver_request(self, transfer: list) -> None:
-        request, result, timer = transfer[0], transfer[1], transfer[2]
-        transfer[0] = transfer[1] = transfer[2] = None
-        self._transfer_free.append(transfer)
+    def _deliver_request(self, transfer: Tuple[RpcRequest, Event, list]) -> None:
+        request, result, timer = transfer
         node = self._nodes.get(request.destination)
         if node is None or not node.alive:
-            # A dead or missing peer never answers; the caller times out.
-            self._recycle_request(request)
-            return
-        free = self._reply_free
-        reply = free.pop() if free else _ReplyHandle(self)
-        reply.request = request
-        reply.result = result
-        reply.timer = timer
-        node._handle_rpc(request, reply)
+            return  # a dead or missing peer never answers; the caller times out
+        node._handle_rpc(request, _ReplyHandle(self, request, result, timer))
 
-    def _deliver_cast(self, transfer: list) -> None:
-        request = transfer[0]
-        transfer[0] = None
-        self._transfer_free.append(transfer)
+    def _deliver_cast(self, request: RpcRequest) -> None:
         node = self._nodes.get(request.destination)
-        if node is None or not node.alive:
-            self._recycle_request(request)
-            return
-        if node._handle_cast(request):
-            # Handled synchronously: nothing can still reference the record.
-            self._recycle_request(request)
+        if node is not None and node.alive:
+            node._handle_cast(request)
 
     def _transmit_reply(
         self,
@@ -562,31 +490,24 @@ class Network:
         self.stats.messages_sent += 1
         if self._dropped():
             self.stats.messages_dropped += 1
-            self._recycle_request(request)
             return
-        latency = self._latency(request.destination, request.source)
-        self._recycle_request(request)
         self._schedule_delivery(
-            latency, self._deliver_reply, self._make_transfer(result, timer, value, error)
+            self._latency(request.destination, request.source),
+            self._deliver_reply,
+            (result, timer, value, error),
         )
 
-    def _deliver_reply(self, transfer: list) -> None:
+    def _deliver_reply(self, transfer: Tuple[Event, list, Any, Optional[BaseException]]) -> None:
         result, timer, value, error = transfer
-        transfer[0] = transfer[1] = transfer[2] = transfer[3] = None
-        self._transfer_free.append(transfer)
         if result.triggered:
-            # The expiry timer won the race; it already fired (and the engine
-            # may have recycled its record), so the handle must not be
-            # cancelled -- see the engine contract.
+            # The expiry timer won the race; it already fired, so the handle
+            # must not be cancelled -- see the timer contract.
             return
-        # The reply made it first: reclaim the timer and its expiry record.
+        # The reply made it first: cancel the timer (its argument names the
+        # destination for the observer).
         pending = self._cancel_timer(timer)
-        if pending is not None:
-            if self.observer is not None:
-                self.observer.rpc_completed(pending[2])
-            pending[0] = None
-            pending[2] = None
-            self._expiry_free.append(pending)
+        if pending is not None and self.observer is not None:
+            self.observer.rpc_completed(pending[2])
         if error is None:
             result.succeed(value)
         else:

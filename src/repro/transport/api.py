@@ -11,10 +11,11 @@ objects:
     ``timeout(delay)``, ``process(generator)``, ``any_of``/``all_of``,
     ``schedule_timer``/``cancel_timer``, ``run(until)``,
     ``run_until(event, timeout)``, ``run_process(generator)`` and the
-    ``events_processed`` counter.  The discrete-event engines (``heap``,
-    ``wheel``) implement it in simulated time; the asyncio transport
-    implements it in real wall-clock time on an asyncio loop.  Protocol code
-    cannot tell the difference: it yields the same events either way.
+    ``events_processed`` counter.  The discrete-event
+    :class:`~repro.sim.engine.Simulator` implements it in simulated time;
+    the asyncio transport implements it in real wall-clock time on an
+    asyncio loop.  Protocol code cannot tell the difference: it yields the
+    same events either way.
 
 ``network``
     The message plane.  The surface protocol layers use:
@@ -87,12 +88,7 @@ class RpcRemoteError(RpcError):
 
 @dataclass(slots=True)
 class RpcRequest:
-    """A request in flight.  Exposed to handlers for tracing/diagnostics.
-
-    Request records may be recycled once the reply has been transmitted (or
-    the destination turned out to be dead), so handlers must not retain one
-    past their own execution.
-    """
+    """A request in flight.  Exposed to handlers for tracing/diagnostics."""
 
     source: str
     destination: str
@@ -167,7 +163,7 @@ def make_transport(config, metrics=None) -> Transport:
     """Build the transport selected by ``config.transport``.
 
     The :data:`TRANSPORT_ENV_VAR` environment variable, when set, overrides
-    the config field -- mirroring how ``REPRO_ENGINE`` overrides the engine.
+    the config field.
     Unknown names raise :class:`ValueError`.
     """
     name = os.environ.get(TRANSPORT_ENV_VAR) or getattr(config, "transport", "sim")

@@ -18,8 +18,7 @@ This class is substrate-agnostic: ``sim`` is any clock satisfying the engine
 contract (a discrete-event :class:`~repro.sim.engine.Simulator` or the
 real-time :class:`~repro.transport.asyncio_transport.AsyncioClock`) and
 ``network`` is any message plane satisfying the contract in
-:mod:`repro.transport.api`.  Before the transport split this class lived at
-``repro.sim.node.Node``; that name remains importable as an alias.
+:mod:`repro.transport.api`.
 """
 
 from __future__ import annotations
@@ -238,27 +237,24 @@ class Endpoint:
         """
         self.network.cast(self.address, destination, method, payload)
 
-    def _handle_cast(self, request: RpcRequest) -> bool:
+    def _handle_cast(self, request: RpcRequest) -> None:
         """Dispatch a one-way message; the handler's result is discarded.
 
-        Returns whether handling completed synchronously, in which case the
-        network may recycle the request record immediately.  Handler errors
-        are swallowed: with :meth:`call` they would travel back to the caller
-        as an :class:`RpcRemoteError`, and a cast has no caller to tell.
+        Handler errors are swallowed: with :meth:`call` they would travel back
+        to the caller as an :class:`RpcRemoteError`, and a cast has no caller
+        to tell.
         """
         handler = self._handlers.get(request.method)
         if handler is None:
             handler = getattr(self, f"rpc_{request.method}", None)
         if handler is None:
-            return True
+            return
         try:
             outcome = handler(request.payload, request)
         except Exception:
-            return True
-        if not inspect.isgenerator(outcome):
-            return True
-        self.spawn(outcome, name=f"cast:{request.method}")
-        return False
+            return
+        if inspect.isgenerator(outcome):
+            self.spawn(outcome, name=f"cast:{request.method}")
 
     def _handle_rpc(
         self,
@@ -324,7 +320,3 @@ class Endpoint:
 
     def on_departed(self) -> None:
         """Hook invoked after :meth:`depart`."""
-
-
-#: Historical name: before the transport split this class was ``sim.node.Node``.
-Node = Endpoint

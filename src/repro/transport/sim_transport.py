@@ -1,18 +1,17 @@
 """The discrete-event transport: the seeded simulator behind the contract.
 
-A *thin* adapter by design: it composes the existing engine
-(:func:`~repro.sim.engine.make_simulator` -- heap or timer-wheel) with the
-existing :class:`~repro.sim.network.Network` in exactly the order the
-pre-transport composition root did, consuming the same RNG streams in the
-same sequence.  That makes a ``SimTransport`` deployment event-trace
-bit-identical to the pre-refactor stack, which the frozen-seed parity suite
-(``tests/test_transport_parity.py``) pins the same way PR 6 pinned the wheel
-engine.
+A *thin* adapter by design: it composes the event engine
+(:class:`~repro.sim.engine.Simulator`) with the existing
+:class:`~repro.sim.network.Network` in exactly the order the pre-transport
+composition root did, consuming the same RNG streams in the same sequence.
+That makes a ``SimTransport`` deployment event-trace bit-identical to the
+pre-refactor stack, which the frozen-seed parity suite
+(``tests/test_transport_parity.py``) pins.
 """
 
 from __future__ import annotations
 
-from repro.sim.engine import make_simulator
+from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.randomness import RngStreams
 from repro.transport.api import Transport
@@ -27,7 +26,7 @@ class SimTransport(Transport):
         # Construction order matters for parity: the engine first, then the
         # seeded streams, then the network pulling its "network" stream --
         # the exact sequence the pre-transport PRingIndex used.
-        self.clock = make_simulator(config.engine)
+        self.clock = Simulator()
         self.rngs = RngStreams(config.seed)
         self.network = Network(
             self.clock, self.rngs.stream("network"), config.network, metrics=metrics

@@ -172,14 +172,6 @@ def test_deletions_cause_merges_and_peers_become_free():
     assert check_consistent_successor_pointers(index.live_peers()).ok
 
 
-@pytest.mark.xfail(
-    strict=False,
-    reason=(
-        "timing-sensitive under cascading merges: when several adjacent peers "
-        "merge away in quick succession a handed-off item can transiently sit "
-        "on a peer that is between ring memberships (documented limitation)"
-    ),
-)
 def test_merged_peers_surrender_items_to_survivors():
     index, keys = build_cluster(seed=45, peers=8)
     victims = keys[: int(len(keys) * 0.8)]

@@ -35,6 +35,10 @@ def test_summary_statistics():
     assert 45.0 <= summary.p50 <= 56.0
     assert 90.0 <= summary.p95 <= 100.0
     assert set(summary.as_dict()) == {"count", "mean", "min", "max", "p50", "p95"}
+    # An even-sized sample: p50 follows nearest_rank, like percentile().
+    for value in range(1, 7):
+        metrics.record("even", float(value))
+    assert metrics.summary("even").p50 == metrics.percentile("even", 0.5) == 3.0
 
 
 def test_percentile_bounds():

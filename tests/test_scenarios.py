@@ -68,7 +68,6 @@ def test_scale_sweep_suite_composition():
         "scale_300_adaptive",
         "scale_1000",
         "scale_1000_adaptive",
-        "scale_1000_wheel",
     )
     assert suite.bench_name == "scale"
     deep = get_suite("scale_sweep_deep")

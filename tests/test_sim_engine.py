@@ -1,8 +1,7 @@
-"""Unit tests for the discrete-event simulation engines.
+"""Unit tests for the discrete-event simulation engine.
 
-Every test runs against both the binary-heap engine and the timer-wheel
-engine: the two must honor an identical semantics contract (see the "Engine
-contract" section of docs/ARCHITECTURE.md).
+The engine's semantics contract is the "Contract: the event engine" section
+of docs/ARCHITECTURE.md.
 """
 
 import pytest
@@ -14,13 +13,12 @@ from repro.sim.engine import (
     SimulationError,
     Simulator,
 )
-from repro.sim.wheel import WheelSimulator
 
 
-@pytest.fixture(params=[Simulator, WheelSimulator], ids=["heap", "wheel"])
-def sim(request):
-    """A fresh simulator of each engine flavor."""
-    return request.param()
+@pytest.fixture(params=["heap"])  # the id keeps the test names stable
+def sim():
+    """A fresh simulator."""
+    return Simulator()
 
 
 def test_time_starts_at_zero(sim):
@@ -96,7 +94,7 @@ def test_event_succeed_carries_value(sim):
         seen.append(value)
 
     sim.process(proc())
-    sim._schedule(1.0, lambda: event.succeed("payload"))
+    sim.schedule(1.0, lambda _: event.succeed("payload"))
     sim.run()
     assert seen == ["payload"]
 
@@ -125,7 +123,7 @@ def test_event_failure_raises_in_waiter(sim):
             caught.append(str(error))
 
     sim.process(proc())
-    sim._schedule(0.5, lambda: event.fail(ValueError("boom")))
+    sim.schedule(0.5, lambda _: event.fail(ValueError("boom")))
     sim.run()
     assert caught == ["boom"]
 
@@ -212,7 +210,7 @@ def test_interrupt_terminates_waiting_process(sim):
         progressed.append("should not happen")
 
     process = sim.process(proc())
-    sim._schedule(1.0, lambda: process.interrupt("killed"))
+    sim.schedule(1.0, lambda _: process.interrupt("killed"))
     sim.run()
     assert progressed == []
     assert process.triggered
@@ -229,7 +227,7 @@ def test_interrupt_can_be_caught(sim):
             caught.append(interrupt.cause)
 
     process = sim.process(proc())
-    sim._schedule(2.0, lambda: process.interrupt("reason"))
+    sim.schedule(2.0, lambda _: process.interrupt("reason"))
     sim.run()
     assert caught == ["reason"]
 
@@ -291,7 +289,7 @@ def test_stale_wakeup_after_interrupt_is_ignored(sim):
             steps.append("second wait done")
 
     process = sim.process(proc())
-    sim._schedule(1.0, lambda: process.interrupt())
+    sim.schedule(1.0, lambda _: process.interrupt())
     sim.run()
     assert steps == ["interrupted", "second wait done"]
 
@@ -374,9 +372,8 @@ def test_cancel_from_callback_mid_run(sim):
 
 
 def test_mass_cancellation_mid_run_preserves_determinism(sim):
-    """Crossing the tombstone-reclamation threshold (heap compaction / wheel
-    sweep, both >2048) while the run loop is live must not disturb the
-    (time, seq) firing order of the survivors."""
+    """Crossing the tombstone-compaction threshold (>2048) while the run loop
+    is live must not disturb the (time, seq) firing order of the survivors."""
     fired = []
     handles = []
     for i in range(6000):
@@ -397,7 +394,7 @@ def test_mass_cancellation_mid_run_preserves_determinism(sim):
 
 
 def test_far_future_timer_fires_and_cancels(sim):
-    """Delays beyond the wheel's ~73 h horizon (overflow heap territory)."""
+    """Delays of days of simulated time fire and cancel like short ones."""
     fired = []
     sim.schedule_timer(400_000.0, fired.append, "far")
     doomed = sim.schedule_timer(500_000.0, fired.append, "doomed")
@@ -406,26 +403,6 @@ def test_far_future_timer_fires_and_cancels(sim):
     sim.run()
     assert fired == ["near", "far"]
     assert sim.now == 400_000.0
-
-
-def test_level_span_boundary_delays_complete(sim):
-    """Regression: deltas just under a wheel level's span used to wrap onto
-    the cursor's own slot and cascade forever.  Exercise every boundary from
-    a cursor with low bits set."""
-    fired = []
-    sim.schedule_timer(0.4, fired.append, "advance")
-    sim.run()  # leaves the wheel cursor mid-revolution
-    tick = 2.0**-8
-    deltas = []
-    for span_ticks in (256, 2**14, 2**20, 2**26):
-        for offset in (-2, -1, 0, 1):
-            deltas.append((span_ticks + offset) * tick)
-    expected = []
-    for index, delay in enumerate(deltas):
-        sim.schedule_timer(delay, fired.append, index)
-        expected.append((sim.now + delay, index))
-    sim.run()
-    assert fired == ["advance"] + [i for _, i in sorted(expected)]
 
 
 def test_timer_rejects_negative_delay(sim):

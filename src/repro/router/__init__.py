@@ -9,8 +9,14 @@ implementations:
 
 * :class:`~repro.router.linear.LinearRouter` -- follow successors, O(N) hops.
 * :class:`~repro.router.hierarchical.HierarchicalRingRouter` -- each peer keeps
-  a table of exponentially spaced pointers built by pointer doubling and routes
-  in O(log N) hops.
+  a table of exponentially spaced pointers built by pointer doubling.  Every
+  hop of a lookup jumps through the *probed* peer's own table to its closest
+  pointer preceding the key, so a lookup takes O(log N) hops.
+
+Both share one greedy, iterative lookup loop
+(:meth:`~repro.router.linear.LinearRouter.find_responsible`) over one probe
+RPC, ``ds_probe``, whose reply is ``{owns, successor, next}``: ``next`` is
+the probed peer's own jump toward the key (``None`` from a linear router).
 
 Layer contract: builds on :mod:`repro.sim`, :mod:`repro.ring` and
 :mod:`repro.datastore` (range ownership checks).  Neighbors select an

@@ -6,9 +6,12 @@ number of hops even under skewed key distributions.  We implement the same
 capability with the classic pointer-doubling construction: every peer maintains
 a table whose level-``i`` pointer is (approximately) ``2**i`` ring positions
 away, refreshed periodically by asking the level-``i-1`` peer for *its*
-level-``i-1`` pointer.  Routing repeatedly jumps to the farthest table entry
-that does not overshoot the target key, falling back to plain successor hops
-whenever a pointer is stale or its peer has failed.
+level-``i-1`` pointer; each pointer carries the ring value its peer reported
+for itself.  Routing is greedy and iterative, as in Chord: each probed peer
+answers with the farthest pointer in *its own* table that does not overshoot
+the target key, so every hop roughly halves the remaining distance.  A dead
+hop restarts from our successor; pointers that lead in a circle make the
+lookup finish as a plain successor walk.
 
 The construction differs from the paper's hierarchy-of-rings in mechanism but
 matches it in the property the rest of the system relies on: O(log N) routing
@@ -72,12 +75,14 @@ class HierarchicalRingRouter(LinearRouter):
 
     # ------------------------------------------------------------------ table maintenance
     def _handle_table_entry(self, payload, request):
-        """RPC: return a slice of our routing table starting at ``level``.
+        """RPC: our own ring value and a slice of our routing table from ``level``.
 
         ``span`` entries are returned per request (pointer doubling used to ask
         for one level per round trip; batching the reply halves the refresh
         traffic, the dominant RPC at 1000+ peers).  Past the end of our table
-        the reply falls back to our first live successor, as before.
+        the reply falls back to our first live successor, with the value our
+        successor list records for it.  ``value`` lets the caller stamp its
+        pointer to us first-hand.
         """
         level = payload.get("level", 0)
         span = max(1, payload.get("span", 1))
@@ -88,15 +93,26 @@ class HierarchicalRingRouter(LinearRouter):
         if not entries:
             successor = self.ring.first_live_successor()
             if successor is not None:
-                entries.append({"address": successor, "value": None})
-        return {"entries": entries}
+                entries.append(
+                    {"address": successor, "value": self._successor_value(successor)}
+                )
+        return {"value": self.ring.value, "entries": entries}
+
+    def _successor_value(self, address: str) -> Optional[float]:
+        """The ring value our successor list records for ``address``."""
+        for entry in self.ring.succ_list:
+            if entry.address == address:
+                return entry.value
+        return None
 
     def _refresh_table(self):
         """Rebuild the pointer table by (batched) doubling along the ring.
 
         Each contacted peer returns two consecutive table entries, so the
         pointer spread stays geometric (ratios alternate ~2x and ~1.5x) at half
-        the round trips.  The walk also stops as soon as a pointer's clockwise
+        the round trips.  Each contacted peer also reports its own ring value,
+        which replaces the second-hand one its pointer was built from (that
+        one may be stale).  The walk stops as soon as a pointer's clockwise
         distance stops growing -- the doubling has wrapped around the ring, and
         levels beyond that add traffic without shortening any route.
 
@@ -107,7 +123,7 @@ class HierarchicalRingRouter(LinearRouter):
         table asynchronously from everyone else's, and that drift is benign
         (the pointer spread stays geometric over live peers).  Staleness
         proper is what tightens the cadence: a failed refresh hop here, a
-        failed table jump during routing, or a ring neighbourhood change via
+        dead hop during routing, or a ring neighbourhood change via
         :class:`_RefreshTightener`.
         """
         if not self.ring.is_joined:
@@ -116,28 +132,32 @@ class HierarchicalRingRouter(LinearRouter):
         if successor is None:
             self.table = []
             return
+        size = self.config.router_table_size
+        own_value = self.ring.value
         new_table: List[Tuple[str, float]] = []
         seen = {self.node.address}
-        current = successor
-        current_value = None
-        for entry in self.ring.succ_list:
-            if entry.address == successor:
-                current_value = entry.value
-                break
-        own_value = self.ring.value
         last_distance = -1.0
+
+        def farther(value) -> bool:
+            """Whether ``value`` lies past the last pointer (recording it if so)."""
+            nonlocal last_distance
+            if value is None:
+                return True
+            distance = self._clockwise(own_value, value)
+            if distance <= last_distance:
+                return False  # wrapped past our own position
+            last_distance = distance
+            return True
+
+        current, current_value = successor, self._successor_value(successor)
         rpc_failed = False
-        while len(new_table) < self.config.router_table_size:
-            if current is None or current in seen:
+        while current is not None and current not in seen and len(new_table) < size:
+            floor = last_distance
+            if not farther(current_value):
                 break
-            if current_value is not None:
-                distance = self._clockwise(own_value, current_value)
-                if distance <= last_distance:
-                    break  # wrapped past our own position
-                last_distance = distance
             seen.add(current)
             new_table.append((current, current_value))
-            if len(new_table) >= self.config.router_table_size:
+            if len(new_table) >= size:
                 break
             try:
                 response = yield self.node.call(
@@ -146,25 +166,22 @@ class HierarchicalRingRouter(LinearRouter):
             except RpcError:
                 rpc_failed = True
                 break
-            entries = response.get("entries") or []
+            # Stamp the pointer with the value the peer reports for itself
+            # and re-run the wrap check on that value.
+            last_distance = floor
+            if not farther(response["value"]):
+                new_table.pop()
+                break
+            new_table[-1] = (current, response["value"])
+            entries = response["entries"]
             for entry in entries[:-1]:
-                address, value = entry.get("address"), entry.get("value")
-                if (
-                    address is None
-                    or address in seen
-                    or len(new_table) >= self.config.router_table_size
-                ):
+                address, value = entry["address"], entry["value"]
+                if address in seen or len(new_table) >= size or not farther(value):
                     break
-                if value is not None:
-                    distance = self._clockwise(own_value, value)
-                    if distance <= last_distance:
-                        break
-                    last_distance = distance
                 seen.add(address)
                 new_table.append((address, value))
-            tail = entries[-1] if entries else None
-            current = tail.get("address") if tail else None
-            current_value = tail.get("value") if tail else None
+            tail = entries[-1] if entries else {"address": None, "value": None}
+            current, current_value = tail["address"], tail["value"]
         self.table = new_table
         if rpc_failed:
             self._cadence.note_failure()
@@ -172,53 +189,26 @@ class HierarchicalRingRouter(LinearRouter):
             self._cadence.note_success()
 
     # ------------------------------------------------------------------ routing
-    def find_responsible(self, key: float, max_hops: int = 512):
-        """Generator: route to the responsible peer using the pointer table.
+    # The lookup loop is LinearRouter's; only where it jumps differs.  The
+    # class keeps its own name for that loop because the benchmark's tracing
+    # (perfbench/tracing.py) wraps ``find_responsible`` per router class.
+    find_responsible = LinearRouter.find_responsible
 
-        Jumps to the farthest known pointer that does not overshoot the key,
-        then continues from that peer's perspective (iterative routing); falls
-        back to successor-by-successor walking when the table is empty or
-        stale.
-        """
-        if self._local_owner(key):
-            self._record_route(key, 0, self.node.address)
-            return self.node.address
+    def _note_dead_hop(self) -> None:
+        # A dead hop is first-hand staleness evidence: revalidate the table at
+        # the base cadence until lookups run clean again.
+        self._cadence.note_failure()
 
-        hops = 0
-        current = self._best_jump(key) or self.ring.first_live_successor()
-        visited = set()
-        while current is not None and hops < max_hops:
-            hops += 1
-            try:
-                probe = yield self.node.call(current, "ds_probe", {"key": key})
-            except RpcError:
-                # A dead hop is first-hand staleness evidence: revalidate the
-                # table at the base cadence until the walk runs clean again.
-                self._cadence.note_failure()
-                current = self.ring.first_live_successor()
-                continue
-            if probe.get("owns"):
-                self._record_route(key, hops, current)
-                return current
-            if current in visited:
-                # We are looping (stale ranges); fall back to a linear walk.
-                break
-            visited.add(current)
-            current = probe.get("successor")
-        # Fallback: plain successor walk from our own position.
-        result = yield from super().find_responsible(key, max_hops=max_hops)
-        return result
-
-    def _best_jump(self, key: float) -> Optional[str]:
-        """The farthest table pointer that does not pass the target key."""
+    def _next_hop(self, key: float) -> Optional[str]:
+        """The farthest table pointer that does not pass ``key`` (closest preceding)."""
         own_value = self.ring.value
+        target_distance = self._clockwise(own_value, key)
         best: Optional[str] = None
         best_distance = -1.0
         for address, value in self.table:
             if value is None or address == self.node.address:
                 continue
             distance = self._clockwise(own_value, value)
-            target_distance = self._clockwise(own_value, key)
             if distance <= target_distance and distance > best_distance:
                 best = address
                 best_distance = distance

@@ -1,8 +1,13 @@
-"""Linear (successor-walking) content router.
+"""Linear (successor-walking) content router, and the one routing loop.
 
-The baseline router: probe peers one ring hop at a time until the peer whose
-Data Store range contains the key is found.  O(N) messages, but simple and
-robust; it is also the fallback path of the hierarchical router.
+Every router sends the same ``ds_probe`` RPC and runs the same greedy,
+iterative lookup (:meth:`LinearRouter.find_responsible`): each probed peer
+answers whether it owns the key, its first live successor, and ``next`` -- its
+own jump toward the key -- and the lookup follows ``next`` when there is one,
+else the successor.  This router keeps no pointers, so it answers
+``next=None`` and the lookup is a plain successor walk: O(N) messages, but
+simple and robust.  :class:`~repro.router.hierarchical.HierarchicalRingRouter`
+changes only where a lookup jumps.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ class LinearRouter:
         self.config = config
         self.metrics = metrics
         self.history = history
+        node.register_handler("ds_probe", self._handle_probe)
 
     # ------------------------------------------------------------------ helpers
     def _record_route(self, key: float, hops: int, found: Optional[str]) -> None:
@@ -36,35 +42,73 @@ class LinearRouter:
     def _local_owner(self, key: float) -> bool:
         return self.store.owns_key(key)
 
+    def _next_hop(self, key: float) -> Optional[str]:
+        """Where this peer jumps toward ``key``; ``None``: take the successor."""
+        return None
+
+    def _note_dead_hop(self) -> None:
+        """A probed peer did not answer (hook for routers that keep pointers)."""
+
+    def _handle_probe(self, payload, request):
+        """RPC: routing probe -- do we own ``key``, who follows us, where do we jump?"""
+        key = payload["key"]
+        owns = self._local_owner(key)
+        return {
+            "owns": owns,
+            "successor": self.ring.first_live_successor(),
+            "next": None if owns else self._next_hop(key),
+        }
+
     # ------------------------------------------------------------------ routing
     def find_responsible(self, key: float, max_hops: int = 512):
-        """Generator: the address of the peer responsible for ``key``, or ``None``."""
+        """Generator: the address of the peer responsible for ``key``, or ``None``.
+
+        Greedy and iterative: the lookup starts at our own jump (or our
+        successor) and then follows each probed peer's ``next`` (or its
+        successor) until a peer owns the key.  A dead hop restarts from our
+        successor, and no later jump goes to that peer again.  If jumps lead
+        back to a peer already probed (stale pointers or ranges), the lookup
+        finishes as a plain successor walk from our successor; a walk that
+        comes back to a probed peer gives up.
+        """
         if self._local_owner(key):
             self._record_route(key, 0, self.node.address)
             return self.node.address
-        current = self.ring.first_live_successor()
+        current = self._next_hop(key)
+        jumped = current is not None
+        walking = False
         if current is None:
-            self._record_route(key, 0, None)
-            return None
+            current = self.ring.first_live_successor()
         hops = 0
         visited = set()
+        dead = set()
         while current is not None and hops < max_hops:
-            hops += 1
             if current in visited:
-                break
+                if walking or not jumped:
+                    break
+                walking = True
+                visited.clear()
+                current = self.ring.first_live_successor()
+                continue
+            hops += 1
             visited.add(current)
             try:
                 probe = yield self.node.call(current, "ds_probe", {"key": key})
             except RpcError:
-                # The peer died mid-route; restart from our own successor.
+                self._note_dead_hop()
+                dead.add(current)
                 current = self.ring.first_live_successor()
                 visited.clear()
                 continue
-            if probe.get("owns"):
+            if probe["owns"]:
                 self._record_route(key, hops, current)
                 return current
-            next_hop = probe.get("successor")
-            if next_hop is None or next_hop == current:
+            next_hop = None if walking else probe["next"]
+            if next_hop is None or next_hop in dead:
+                next_hop = probe["successor"]
+            else:
+                jumped = True
+            if next_hop == current:
                 break
             current = next_hop
         self._record_route(key, hops, None)

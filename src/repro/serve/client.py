@@ -257,15 +257,15 @@ class QueryClient:
     # ------------------------------------------------------------------ cached
     def _cached_query(self, lb: float, ub: float, timeout: float):
         window = (lb, ub)
+        started = self.peer.sim.now  # a hit's latency includes its validation
         entry = self._cache.get(window)
         if entry is not None:
             valid = yield from self._validate(entry[1])
             if valid:
                 self._record_metric("serve_cache_hit", 1)
                 query_id = self.peer.queries._new_query_id()
-                now = self.peer.sim.now
                 result = self._result(
-                    query_id, lb, ub, dict(entry[0]), now, now, 0, True, "cached"
+                    query_id, lb, ub, dict(entry[0]), started, started, 0, True, "cached"
                 )
                 result["cached"] = True
                 return result

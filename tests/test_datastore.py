@@ -90,20 +90,6 @@ def test_store_rejects_keys_outside_range(cluster):
     assert response == {"stored": False, "reason": "not_responsible"}
 
 
-def test_probe_reports_ownership_and_successor(cluster):
-    index, keys = cluster
-    key = keys[0]
-    owner = owner_of(index, key)
-
-    def probe():
-        response = yield owner.call(owner.address, "ds_probe", {"key": key})
-        return response
-
-    response = index.run_process(probe())
-    assert response["owns"] is True
-    assert response["successor"] is not None
-
-
 def test_get_local_items_filters_by_interval(cluster):
     index, keys = cluster
     owner = owner_of(index, keys[3])

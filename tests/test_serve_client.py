@@ -118,6 +118,16 @@ def test_cached_routing_revalidates_and_invalidates_on_writes():
     assert index.metrics.count("serve_cache_invalidate") >= 1
 
 
+def test_validated_cache_hit_reports_its_validation_latency():
+    index, keys = build_cluster(seed=83, peers=8)
+    lb, ub = keys[5], keys[25]
+    index.range_query_now(lb, ub, routing="cached")
+    hit = index.range_query_now(lb, ub, routing="cached")
+    assert hit["cached"] is True
+    # Revalidation is at least one serve_meta round trip to each owner.
+    assert hit["end_time"] - hit["start_time"] > 0.0
+
+
 # ----------------------------------------------------------------- replica-read safety
 def _replica_of(index, owner):
     """A live peer holding a pushed replica set for ``owner``."""

@@ -11,10 +11,12 @@ Run with::
 
 from repro import check_consistent_successor_pointers, check_ring_connectivity
 from repro.harness.scenarios import (
+    PhaseSpec,
     QueryMixSpec,
     ScenarioSpec,
     WorkloadSpec,
     build_experiment,
+    paper_build_phase,
     register,
     run_spec,
 )
@@ -27,18 +29,20 @@ SPEC = register(
         name="quickstart",
         description="11 peers, 90 uniform items, 3 range queries",
         peers=11,
-        join_period=1.0,
-        settle_time=30.0,
         seed=7,
-        workload=WorkloadSpec(items=90, insert_rate=3.0),
-        queries=QueryMixSpec(count=3, selectivity=0.03),
+        phases=(
+            # Arrivals one per second plus the item stream, then 30 s of quiet.
+            paper_build_phase(11, WorkloadSpec(items=90, insert_rate=3.0), join_period=1.0),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=3, selectivity=0.03)),
+        ),
     )
 )
 
 
 def main() -> None:
-    # One call runs the whole cell: build phase (arrivals + item stream),
-    # settle, query mix -- and returns the measurements as a ScenarioResult.
+    # One call runs the whole cell: the build phase (arrivals + item stream +
+    # settle), then the query phase -- and returns the measurements as a
+    # ScenarioResult.
     print("Running the 'quickstart' scenario through the registry...")
     result = run_spec(SPEC, seed=7)
     print(
@@ -50,11 +54,11 @@ def main() -> None:
     print(f"  per-method profile: {dict(sorted(result.rpc_per_method.items()))}")
 
     # The same spec can be materialised when you want to poke at the peers
-    # directly instead of (or in addition to) the packaged phases.
+    # directly: play only its build phase, then drive the ring by hand.
     print("\nMaterialising the same spec for inspection...")
     experiment = build_experiment(SPEC, seed=7)
     index = experiment.index
-    experiment.build()
+    experiment.run_phases(SPEC.phases[:1], total_peers=SPEC.peers)
 
     print(f"Ring members: {len(index.ring_members())}, free peers: {len(index.free_peers())}")
     for peer in index.ring_members():

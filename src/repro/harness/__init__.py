@@ -18,7 +18,6 @@ from repro.harness.metrics import Metrics
 
 __all__ = [
     "ClusterExperiment",
-    "ExperimentSettings",
     "Metrics",
     "ScenarioSpec",
     "figures",
@@ -28,15 +27,14 @@ __all__ = [
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - static typing only
-    from repro.harness.experiment import ClusterExperiment, ExperimentSettings
+    from repro.harness.experiment import ClusterExperiment
     from repro.harness.scenarios import ScenarioSpec, get_scenario, run_spec
 
-_EXPERIMENT_NAMES = ("ClusterExperiment", "ExperimentSettings")
 _SCENARIO_NAMES = ("ScenarioSpec", "get_scenario", "run_spec")
 
 
 def __getattr__(name):
-    if name in _EXPERIMENT_NAMES:
+    if name == "ClusterExperiment":
         from repro.harness import experiment
 
         return getattr(experiment, name)

@@ -2,23 +2,26 @@
 
 The *shape* of a deployment (size, churn, workload, query mix, protocol
 selection) is described declaratively by a
-:class:`~repro.harness.scenarios.ScenarioSpec` and resolved into the plain
-parameters below; :class:`ClusterExperiment` only knows how to execute them.
-The paper's Section 6.1 deployment (30 peers arriving one every 3 seconds,
-items inserted at 2 per second, storage factor 5, replication factor 6) is the
-default, but any registry scenario -- churn-heavy, Zipf-skewed, 1000 peers --
-runs through the exact same driver.
+:class:`~repro.harness.scenarios.ScenarioSpec`: an
+:class:`~repro.index.config.IndexConfig` plus a tuple of
+:class:`~repro.harness.phases.PhaseSpec`.  :class:`ClusterExperiment` only
+knows how to execute them.  The paper's Section 6.1 deployment (30 peers
+arriving one every 3 seconds, items inserted at 2 per second, storage factor
+5, replication factor 6) is one such phase sequence
+(:func:`~repro.harness.phases.paper_build_phase`), and any registry scenario
+-- churn-heavy, Zipf-skewed, 1000 peers -- runs through the exact same
+driver.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.correctness import QueryRecord
-from repro.harness.phases import PhaseResult, PhaseSpec, ServeSpec, WorkloadSpec
+from repro.harness.phases import PhaseResult, PhaseSpec, ServeSpec
 from repro.index.config import IndexConfig
 from repro.index.pring import PRingIndex
 from repro.serve.workload import OpenLoopQuery, open_loop_queries
@@ -33,35 +36,6 @@ from repro.workloads.churn import (
 )
 from repro.workloads.items import ItemWorkload, generate_keys
 from repro.workloads.queries import QueryWorkload
-
-
-@dataclass
-class ExperimentSettings:
-    """Deployment parameters shared by the paper's experiments (Section 6.1).
-
-    ``key_distribution``/``key_params`` select one of the named generators in
-    :mod:`repro.workloads.items` (uniform, skewed, zipf), so skewed scenarios
-    are a settings change rather than a different driver.
-    """
-
-    peers: int = 30
-    items: int = 180
-    peer_join_period: float = 3.0
-    item_insert_rate: float = 2.0
-    settle_time: float = 30.0
-    failure_rate_per_100s: float = 0.0
-    failure_window: float = 100.0
-    seed: int = 0
-    key_distribution: str = "uniform"
-    key_params: Mapping = field(default_factory=dict)
-
-    def scaled(self, factor: float) -> "ExperimentSettings":
-        """A proportionally smaller/larger deployment (used to keep benches fast)."""
-        return replace(
-            self,
-            peers=max(3, int(self.peers * factor)),
-            items=max(20, int(self.items * factor)),
-        )
 
 
 @dataclass
@@ -85,76 +59,38 @@ class QueryOutcome:
 class ClusterExperiment:
     """Builds and drives one simulated deployment.
 
-    ``extra_churn`` (e.g. a flash-crowd join burst or a correlated-failure
-    schedule from :mod:`repro.workloads.churn`) is merged into the arrival
-    schedule during :meth:`build`, so scenario specs can reshape the bootstrap
-    phase without subclassing the driver.
+    The deployment's lifecycle is a sequence of
+    :class:`~repro.harness.phases.PhaseSpec` played by :meth:`run_phases`; the
+    helpers below (:meth:`grow`, :meth:`insert_items`, :meth:`run_query`, ...)
+    drive the built cluster by hand afterwards.
     """
 
-    def __init__(
-        self,
-        config: IndexConfig,
-        settings: Optional[ExperimentSettings] = None,
-        extra_churn: Optional[ChurnSchedule] = None,
-    ):
+    def __init__(self, config: IndexConfig):
         self.config = config
-        self.settings = settings or ExperimentSettings(seed=config.seed)
-        self.extra_churn = extra_churn
         self.index = PRingIndex(config)
         self.inserted_keys: List[float] = []
         self.deleted_keys: List[float] = []
 
-    # ------------------------------------------------------------------ building
-    def build(self, extra_settle: Optional[float] = None) -> PRingIndex:
-        """Bootstrap the deployment: staggered peer arrivals and item inserts.
-
-        A thin wrapper over :meth:`run_phases`: the flat settings become one
-        ``build`` phase (same arrival/workload schedules, same derived
-        duration), so the legacy entry point and the phased lifecycle share a
-        single driver implementation.  ``extra_churn`` rides along as the
-        phase's arbitrary :class:`ChurnSchedule`.
-        """
-        settings = self.settings
-        self.index.bootstrap()
-        phase = PhaseSpec(
-            name="build",
-            arrivals=settings.peers - 1,
-            arrival_period=settings.peer_join_period,
-            schedule=self.extra_churn,
-            workload=WorkloadSpec(
-                items=settings.items,
-                insert_rate=settings.item_insert_rate,
-                distribution=settings.key_distribution,
-                params=dict(settings.key_params),
-            ),
-            settle=settings.settle_time if extra_settle is None else extra_settle,
-        )
-        self.run_phases((phase,), total_peers=settings.peers)
-        return self.index
-
     # ------------------------------------------------------------------ phased lifecycle
     def run_phases(
-        self,
-        phases: Sequence[PhaseSpec],
-        total_peers: Optional[int] = None,
+        self, phases: Sequence[PhaseSpec], total_peers: int
     ) -> Tuple[List[PhaseResult], List["QueryOutcome"], List[str]]:
         """Execute a declarative phase sequence (see :mod:`repro.harness.phases`).
 
         Phases run strictly one after another; each phase first waits for its
-        start condition (offset, then membership fraction, then quiescence --
-        all bounded by ``start_timeout``), then plays its bound schedules and
-        settles.  Returns the per-phase measurements, the query outcomes of
-        every query-bearing phase (in execution order) and the addresses of
-        all correlated-failure victims.
+        start condition (offset, then membership fraction of ``total_peers``,
+        then quiescence -- all bounded by ``start_timeout``), then plays its
+        bound schedules and settles.  Returns the per-phase measurements, the
+        query outcomes of every query-bearing phase (in execution order) and
+        the addresses of all correlated-failure victims.
         """
-        total = self.settings.peers if total_peers is None else total_peers
         if not self.index.bootstrapped:
             self.index.bootstrap()
         results: List[PhaseResult] = []
         outcomes: List[QueryOutcome] = []
         victims: List[str] = []
         for phase in phases:
-            record, phase_outcomes, phase_victims = self._execute_phase(phase, total)
+            record, phase_outcomes, phase_victims = self._execute_phase(phase, total_peers)
             results.append(record)
             outcomes.extend(phase_outcomes)
             victims.extend(phase_victims)
@@ -230,8 +166,7 @@ class ClusterExperiment:
 
         active = phase.duration
         if active is None:
-            # Derived active time: long enough to play every bound schedule
-            # (the same formula the legacy build phase used).
+            # Derived active time: long enough to play every bound schedule.
             candidates = [0.0]
             if joins is not None and len(joins) > 0:
                 candidates.append(joins.duration - sim.now)
@@ -507,16 +442,14 @@ class ClusterExperiment:
         self.index.run(duration)
         return len(schedule)
 
-    def grow(self, peers: int, period: Optional[float] = None) -> None:
-        """Add more peers at the configured arrival rate and wait for them."""
-        period = period or self.settings.peer_join_period
+    def grow(self, peers: int, period: float, settle: float) -> None:
+        """Add ``peers`` peers one per ``period``, then run ``settle`` more seconds."""
         schedule = join_schedule(peers, period=period, start=self.index.sim.now + 0.1)
         self.index.sim.process(self._membership_driver(schedule), name="driver:grow")
-        self.index.run(peers * period + self.settings.settle_time)
+        self.index.run(peers * period + settle)
 
-    def insert_items(self, keys: List[float], rate: Optional[float] = None) -> None:
-        """Insert additional items at the given rate and wait for them."""
-        rate = rate or self.settings.item_insert_rate
+    def insert_items(self, keys: List[float], rate: float) -> None:
+        """Insert additional items at ``rate`` per second and wait for them."""
         workload = ItemWorkload(keys, insert_rate=rate, start_time=self.index.sim.now + 0.1)
         self.inserted_keys.extend(keys)
         self.index.sim.process(self._item_driver(workload), name="driver:more-items")

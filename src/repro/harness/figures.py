@@ -27,7 +27,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.correctness import ItemTimeline, check_query_result, count_lost_items
 from repro.harness.experiment import ClusterExperiment
 from repro.harness.reporting import format_table
-from repro.harness.scenarios import ScenarioSpec, WorkloadSpec, build_experiment
+from repro.harness.scenarios import (
+    ScenarioSpec,
+    WorkloadSpec,
+    build_experiment,
+    paper_build_phase,
+)
 from repro.index.config import IndexConfig, default_config
 from repro.sim.network import LanWanLatency, NetworkConfig
 
@@ -61,22 +66,26 @@ class FigureResult:
         }
 
 
+#: Quiet simulated seconds after every figure cell's build and growth phases.
+FIGURE_SETTLE = 20.0
+
+
 def _figure_spec(config: IndexConfig, peers: int, items: int, seed: int) -> ScenarioSpec:
     """The deployment cell every figure uses: paper shape, 20 s settle."""
     return ScenarioSpec(
         name="figure_cell",
         peers=peers,
-        settle_time=20.0,
         seed=seed,
-        workload=WorkloadSpec(items=items),
+        phases=(paper_build_phase(peers, WorkloadSpec(items=items), settle=FIGURE_SETTLE),),
         base_config=config,
         protocols="base",  # the sweep already selected pepper/naive flags
     )
 
 
 def _build(config: IndexConfig, peers: int, items: int, seed: int) -> ClusterExperiment:
-    experiment = build_experiment(_figure_spec(config, peers, items, seed))
-    experiment.build()
+    spec = _figure_spec(config, peers, items, seed)
+    experiment = build_experiment(spec)
+    experiment.run_phases(spec.phases, total_peers=peers)
     return experiment
 
 
@@ -354,7 +363,7 @@ def figure_23(
             key + 0.37
             for key in experiment.inserted_keys[: items // 2]
         ]
-        experiment.grow(extra_peers, period=3.0)
+        experiment.grow(extra_peers, period=3.0, settle=FIGURE_SETTLE)
         experiment.insert_items(new_keys, rate=2.0)
         experiment.settle(20.0)
 

@@ -255,6 +255,30 @@ class PhaseResult:
         return asdict(self)
 
 
+def paper_build_phase(
+    peers: int,
+    workload: WorkloadSpec,
+    settle: float = 30.0,
+    join_period: float = 3.0,
+    churn: ChurnSpec = ChurnSpec(),
+) -> PhaseSpec:
+    """The paper's bootstrap phase (Section 6.1) for a ``peers``-peer deployment.
+
+    Every peer but the bootstrap one arrives one per ``join_period`` while
+    ``workload`` streams in (and any flash crowd in ``churn`` joins), then the
+    ring gets ``settle`` simulated seconds of quiet.  The defaults are the
+    paper's: one arrival every 3 s and a 30 s settle.
+    """
+    return PhaseSpec(
+        name="build",
+        arrivals=peers - 1,
+        arrival_period=join_period,
+        churn=churn,
+        workload=workload,
+        settle=settle,
+    )
+
+
 def validate_phases(phases: Tuple[PhaseSpec, ...]) -> None:
     """Validate a phase list as a whole (names unique, each phase valid)."""
     seen = set()

@@ -215,7 +215,6 @@ _AGGREGATED_FIELDS = (
     "rpc_calls",
     "rpc_timeouts",
     "messages_sent",
-    "query_mean_elapsed_s",
     "query_mean_hops",
     "serve_load_variance",
 )

@@ -31,7 +31,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.harness.experiment import ClusterExperiment, ExperimentSettings
+from repro.harness.experiment import ClusterExperiment
 from repro.harness.metrics import nearest_rank
 from repro.harness.phases import (
     ChurnSpec,
@@ -40,6 +40,7 @@ from repro.harness.phases import (
     QueryMixSpec,
     ServeSpec,
     WorkloadSpec,
+    paper_build_phase,
     validate_phases,
 )
 from repro.index.config import IndexConfig, default_config
@@ -62,7 +63,6 @@ from repro.snapshot import (
     snapshot_path,
 )
 from repro.transport.api import TRANSPORT_ENV_VAR, TRANSPORT_NAMES
-from repro.workloads.churn import ChurnSchedule, flash_crowd_schedule
 
 __all__ = [
     "ChurnSpec",
@@ -80,6 +80,7 @@ __all__ = [
     "build_experiment",
     "get_scenario",
     "get_suite",
+    "paper_build_phase",
     "register",
     "register_suite",
     "run_spec",
@@ -182,31 +183,21 @@ class TransportSpec:
 class ScenarioSpec:
     """A complete, named description of one experiment cell.
 
-    The lifecycle is declared either *flat* (the historical shape: the
-    ``workload``/``churn``/``queries`` fields plus ``settle_time``, executed
-    as build -> failures -> outage -> queries) or *phased* (an explicit
-    ``phases`` tuple of :class:`~repro.harness.phases.PhaseSpec`).  When
-    ``phases`` is empty, :meth:`resolved_phases` synthesises the legacy
-    sequence from the flat fields, so both shapes run through the same
-    executor and a flat spec behaves exactly as it always did.
+    The lifecycle is the ``phases`` tuple of
+    :class:`~repro.harness.phases.PhaseSpec` -- at least one phase, played in
+    order by :meth:`ClusterExperiment.run_phases`.  ``peers`` is the
+    deployment's peer total: the reference for membership-fraction start
+    conditions and the ``peers_requested`` figure.
     """
 
     name: str
     description: str = ""
     peers: int = 30
-    join_period: float = 3.0
-    settle_time: float = 30.0
     protocols: str = "pepper"  # pepper | naive | base (keep base_config's flags)
     seed: int = 0
-    workload: WorkloadSpec = WorkloadSpec()
-    churn: ChurnSpec = ChurnSpec()
-    queries: QueryMixSpec = QueryMixSpec()
-    # Open-loop serve traffic appended as a final phase (see ServeSpec); the
-    # phased shape binds a ServeSpec to any PhaseSpec directly instead.
-    serve: Optional[ServeSpec] = None
     latency: LatencySpec = LatencySpec()
     maintenance: MaintenanceSpec = MaintenanceSpec()
-    phases: Tuple[PhaseSpec, ...] = ()  # explicit lifecycle; () = legacy flat shape
+    phases: Tuple[PhaseSpec, ...] = ()  # the lifecycle; must be non-empty
     config: Mapping = field(default_factory=dict)  # IndexConfig field overrides
     base_config: Optional[IndexConfig] = None  # full config object (figures use this)
     # Transport selection: in-sim (default) or real asyncio sockets; see
@@ -218,6 +209,10 @@ class ScenarioSpec:
     # (the resume-parity matrix pins warm == cold exactly), only how much of
     # the lifecycle is re-executed, and it is excluded from the snapshot key.
     warm_start: bool = True
+
+    def __post_init__(self) -> None:
+        if not self.phases:
+            raise ValueError(f"scenario {self.name!r} declares no phases")
 
     # -- derived -----------------------------------------------------------
     def index_config(self, seed: Optional[int] = None) -> IndexConfig:
@@ -247,83 +242,14 @@ class ScenarioSpec:
         config.validate()
         return config
 
-    def settings(self, seed: Optional[int] = None) -> ExperimentSettings:
-        return ExperimentSettings(
-            peers=self.peers,
-            items=self.workload.items,
-            peer_join_period=self.join_period,
-            item_insert_rate=self.workload.insert_rate,
-            settle_time=self.settle_time,
-            failure_rate_per_100s=self.churn.failure_rate_per_100s,
-            failure_window=self.churn.failure_window,
-            seed=self.seed if seed is None else seed,
-            key_distribution=self.workload.distribution,
-            key_params=dict(self.workload.params),
-        )
-
     def with_(self, **overrides) -> "ScenarioSpec":
         """A copy with the given top-level fields replaced."""
         return replace(self, **overrides)
 
     def resolved_phases(self) -> Tuple[PhaseSpec, ...]:
-        """The phase sequence this spec executes.
-
-        An explicit ``phases`` tuple is validated and returned as-is.  A flat
-        spec resolves into the legacy lifecycle -- it reproduces the
-        historical driver's event trace exactly (``tests/test_phases.py``
-        pins the equivalence):
-
-        1. ``build``: staggered arrivals + flash crowd + the item stream,
-           then ``settle_time`` of quiet;
-        2. ``failures`` (if a steady failure rate is set): the failure
-           window;
-        3. ``outage`` (if correlated failures are set): the simultaneous
-           shot, then ``settle_time`` of quiet;
-        4. ``queries`` (if a query mix is set): the query loop;
-        5. ``serve`` (if a :class:`ServeSpec` is set): the open-loop serve
-           window plus its drain.
-        """
-        if self.phases:
-            validate_phases(self.phases)
-            return tuple(self.phases)
-        build_churn = ChurnSpec(
-            flash_crowd_peers=self.churn.flash_crowd_peers,
-            flash_crowd_at=self.churn.flash_crowd_at,
-            flash_crowd_spacing=self.churn.flash_crowd_spacing,
-        )
-        phases = [
-            PhaseSpec(
-                name="build",
-                arrivals=self.peers - 1,
-                arrival_period=self.join_period,
-                churn=build_churn,
-                workload=self.workload,
-                settle=self.settle_time,
-            )
-        ]
-        if self.churn.failure_rate_per_100s > 0:
-            phases.append(
-                PhaseSpec(
-                    name="failures",
-                    churn=ChurnSpec(
-                        failure_rate_per_100s=self.churn.failure_rate_per_100s,
-                        failure_window=self.churn.failure_window,
-                    ),
-                )
-            )
-        if self.churn.correlated_failures > 0:
-            phases.append(
-                PhaseSpec(
-                    name="outage",
-                    churn=ChurnSpec(correlated_failures=self.churn.correlated_failures),
-                    settle=self.settle_time,
-                )
-            )
-        if self.queries.count > 0:
-            phases.append(PhaseSpec(name="queries", queries=self.queries))
-        if self.serve is not None:
-            phases.append(PhaseSpec(name="serve", serve=self.serve))
-        return tuple(phases)
+        """The validated phase sequence this spec executes (never empty)."""
+        validate_phases(self.phases)
+        return tuple(self.phases)
 
     def total_items(self) -> int:
         """Items the resolved lifecycle inserts (the ``items_requested`` figure)."""
@@ -366,10 +292,8 @@ class ScenarioResult:
     queries_complete: int = 0
     # Query latency summary over every executed query (count/mean/p50/p95/p99,
     # seconds); empty when the cell ran no queries.  This is the first-class
-    # latency block -- the two mean fields below are kept as derived aliases
-    # of it for older BENCH tooling.
+    # latency block; query_mean_hops is the mean ring hops per query.
     query_latency: Dict[str, float] = field(default_factory=dict)
-    query_mean_elapsed_s: float = 0.0
     query_mean_hops: float = 0.0
     # Serve-phase observables (zero/absent when the cell had no serve phase):
     # open-loop queries recorded, how many returned exactly the reachable key
@@ -419,17 +343,8 @@ LATENCY_HISTOGRAM_EDGES = (0.001, 0.003, 0.01, 0.03, 0.06, 0.1)
 
 
 def build_experiment(spec: ScenarioSpec, seed: Optional[int] = None) -> ClusterExperiment:
-    """Materialise the spec into an (unbuilt) :class:`ClusterExperiment`."""
-    extra: Optional[ChurnSchedule] = None
-    if spec.churn.flash_crowd_peers > 0:
-        extra = flash_crowd_schedule(
-            spec.churn.flash_crowd_peers,
-            at=spec.churn.flash_crowd_at,
-            spacing=spec.churn.flash_crowd_spacing,
-        )
-    return ClusterExperiment(
-        spec.index_config(seed), spec.settings(seed), extra_churn=extra
-    )
+    """Materialise the spec into a :class:`ClusterExperiment` with no phase run yet."""
+    return ClusterExperiment(spec.index_config(seed))
 
 
 def snapshot_boundary(phases: Sequence[PhaseSpec]) -> Optional[int]:
@@ -488,10 +403,9 @@ def run_spec(
 ) -> ScenarioResult:
     """Execute one scenario cell and collect its measurements.
 
-    The spec's resolved phase sequence (explicit ``phases``, or the legacy
-    build -> failures -> outage -> queries decomposition of a flat spec) runs
-    through :meth:`ClusterExperiment.run_phases`; the result carries both the
-    historical scenario totals and the per-phase breakdown.
+    The spec's phase sequence runs through
+    :meth:`ClusterExperiment.run_phases`; the result carries both the
+    scenario totals and the per-phase breakdown.
 
     With a ``snapshot_dir``, the run participates in snapshot/warm-start (see
     :mod:`repro.snapshot`): a cold run pauses at the boundary phase, steps to
@@ -511,7 +425,8 @@ def run_spec(
     if plan is None:
         experiment = build_experiment(spec, seed)
         try:
-            return _run_spec_on(experiment, spec, seed, started)
+            results, outcomes, victims = experiment.run_phases(phases, total_peers=spec.peers)
+            return _finalize_result(experiment, spec, seed, started, results, outcomes, victims)
         finally:
             # Release transport resources (asyncio sockets and loops; a no-op
             # for the simulated transport) even when a phase raises.
@@ -573,17 +488,6 @@ def run_spec(
         experiment.index.shutdown()
 
 
-def _run_spec_on(
-    experiment: ClusterExperiment, spec: ScenarioSpec, seed: int, started: float
-) -> ScenarioResult:
-    phase_results, outcomes, correlated = experiment.run_phases(
-        spec.resolved_phases(), total_peers=spec.peers
-    )
-    return _finalize_result(
-        experiment, spec, seed, started, phase_results, outcomes, correlated
-    )
-
-
 def _finalize_result(
     experiment: ClusterExperiment,
     spec: ScenarioSpec,
@@ -641,7 +545,6 @@ def _finalize_result(
         queries_run=len(outcomes),
         queries_complete=sum(1 for outcome in outcomes if outcome.complete),
         query_latency=query_latency,
-        query_mean_elapsed_s=query_latency.get("mean", 0.0),
         query_mean_hops=(
             sum(outcome.hops for outcome in outcomes) / len(outcomes) if outcomes else 0.0
         ),
@@ -717,14 +620,18 @@ def suite_names() -> List[str]:
 
 
 # --------------------------------------------------------------------------- built-in scenarios
-# The paper's Section 6.1 deployment, exactly.
+# The paper's Section 6.1 deployment, exactly.  The build phase's quiet tail
+# is its own ``settle`` phase so build and settle are timed separately.
 register(
     ScenarioSpec(
         name="paper_default",
         description="the paper's 30-peer LAN deployment (Section 6.1)",
         peers=30,
-        workload=WorkloadSpec(items=180),
-        queries=QueryMixSpec(count=10),
+        phases=(
+            paper_build_phase(30, WorkloadSpec(items=180), settle=0.0),
+            PhaseSpec(name="settle", settle=30.0),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=10)),
+        ),
     )
 )
 
@@ -734,10 +641,12 @@ register(
         name="smoke",
         description="tiny deployment used by CI to smoke-test the registry pipeline",
         peers=8,
-        join_period=1.0,
-        settle_time=15.0,
-        workload=WorkloadSpec(items=50, insert_rate=4.0),
-        queries=QueryMixSpec(count=5),
+        phases=(
+            paper_build_phase(
+                8, WorkloadSpec(items=50, insert_rate=4.0), settle=15.0, join_period=1.0
+            ),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=5)),
+        ),
     )
 )
 
@@ -747,8 +656,12 @@ register(
         name="zipf_hotspot",
         description="Zipf(1.1) keys hammer one region of the ring (split storm)",
         peers=30,
-        workload=WorkloadSpec(items=220, distribution="zipf", params={"alpha": 1.1}),
-        queries=QueryMixSpec(count=10, selectivity=0.01),
+        phases=(
+            paper_build_phase(
+                30, WorkloadSpec(items=220, distribution="zipf", params={"alpha": 1.1})
+            ),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=10, selectivity=0.01)),
+        ),
     )
 )
 
@@ -758,10 +671,17 @@ register(
         name="flash_crowd",
         description="25-peer flash crowd joins an established 6-peer ring",
         peers=6,
-        join_period=1.0,
-        workload=WorkloadSpec(items=200, insert_rate=4.0),
-        churn=ChurnSpec(flash_crowd_peers=25, flash_crowd_at=20.0, flash_crowd_spacing=0.05),
-        queries=QueryMixSpec(count=10),
+        phases=(
+            paper_build_phase(
+                6,
+                WorkloadSpec(items=200, insert_rate=4.0),
+                join_period=1.0,
+                churn=ChurnSpec(
+                    flash_crowd_peers=25, flash_crowd_at=20.0, flash_crowd_spacing=0.05
+                ),
+            ),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=10)),
+        ),
     )
 )
 
@@ -771,9 +691,14 @@ register(
         name="churn_heavy",
         description="12 failures per 100 s while items keep arriving (Figure 23 regime)",
         peers=30,
-        workload=WorkloadSpec(items=180),
-        churn=ChurnSpec(failure_rate_per_100s=12.0, failure_window=100.0),
-        queries=QueryMixSpec(count=10),
+        phases=(
+            paper_build_phase(30, WorkloadSpec(items=180)),
+            PhaseSpec(
+                name="failures",
+                churn=ChurnSpec(failure_rate_per_100s=12.0, failure_window=100.0),
+            ),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=10)),
+        ),
     )
 )
 
@@ -783,9 +708,11 @@ register(
         name="correlated_failures",
         description="five ring members fail simultaneously after the build phase",
         peers=24,
-        workload=WorkloadSpec(items=150),
-        churn=ChurnSpec(correlated_failures=5),
-        queries=QueryMixSpec(count=10),
+        phases=(
+            paper_build_phase(24, WorkloadSpec(items=150)),
+            PhaseSpec(name="outage", churn=ChurnSpec(correlated_failures=5), settle=30.0),
+            PhaseSpec(name="queries", queries=QueryMixSpec(count=10)),
+        ),
     )
 )
 

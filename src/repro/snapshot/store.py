@@ -32,7 +32,7 @@ import hashlib
 import json
 import os
 import zlib
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,18 +43,20 @@ FORMAT_VERSION = 1
 SNAPSHOT_SUFFIX = ".snap.gz"
 
 
+#: Spec fields that do not shape the pre-boundary world: the seed lives in the
+#: filename, only the sim transport snapshots, ``warm_start`` is a runner knob
+#: and the phase list is hashed as its pre-boundary prefix instead.
+_UNHASHED_FIELDS = ("seed", "transport", "warm_start", "phases")
+
+
 def build_hash(spec, pre_phases: Sequence) -> str:
     """Digest of everything shaping the pre-boundary world (see module doc)."""
-    from repro.harness.scenarios import TransportSpec  # late: avoid import cycle
-
-    normalized = replace(
-        spec,
-        seed=0,
-        transport=TransportSpec(),
-        phases=(),
-        warm_start=True,
-    )
-    blob = repr((FORMAT_VERSION, normalized, tuple(pre_phases), spec.peers))
+    shaping = [
+        (item.name, getattr(spec, item.name))
+        for item in fields(spec)
+        if item.name not in _UNHASHED_FIELDS
+    ]
+    blob = repr((FORMAT_VERSION, shaping, tuple(pre_phases)))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 

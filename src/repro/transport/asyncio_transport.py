@@ -280,7 +280,7 @@ class AsyncioNetwork:
         self.metrics = metrics
         self.config = config or NetworkConfig()
         self.config.validate()
-        self.latency_model = self.config.resolved_latency_model()
+        self.latency_model = self.config.latency_model
         self.stats = NetworkStats()
         self._nodes: Dict[str, Any] = {}
         self._socks: Dict[str, socket.socket] = {}
@@ -327,15 +327,6 @@ class AsyncioNetwork:
     def known_addresses(self) -> list[str]:
         """Addresses of all registered nodes (dead or alive)."""
         return list(self._nodes)
-
-    # -- config ------------------------------------------------------------
-    def reconfigure(self) -> None:
-        """Re-resolve the nominal-latency model after mutating ``config``.
-
-        The real network provides actual latency; only the ``observed_rtt``
-        warm-up seed depends on the model.
-        """
-        self.latency_model = self.config.resolved_latency_model()
 
     def _dropped(self) -> bool:
         prob = self.config.drop_probability

@@ -17,7 +17,6 @@ from repro.sim.network import (
     LATENCY_MODELS,
     ConstantLatency,
     LanWanLatency,
-    NetworkConfig,
     UniformLatency,
     latency_model_from_params,
 )
@@ -154,16 +153,6 @@ def test_latency_model_from_params_defaults_and_errors():
         latency_model_from_params("constant", value=-1.0)
 
 
-# --------------------------------------------------------------------------- config resolution
+# --------------------------------------------------------------------------- registry
 def test_registry_exposes_all_three_models():
     assert set(LATENCY_MODELS) == {"constant", "uniform", "lan_wan"}
-
-
-def test_network_config_resolves_explicit_model_over_legacy_bounds():
-    explicit = LanWanLatency(sites=2)
-    config = NetworkConfig(latency_model=explicit)
-    assert config.resolved_latency_model() is explicit
-    legacy = NetworkConfig(latency_min=0.001, latency_max=0.002)
-    assert isinstance(legacy.resolved_latency_model(), UniformLatency)
-    degenerate = NetworkConfig(latency_min=0.001, latency_max=0.001)
-    assert isinstance(degenerate.resolved_latency_model(), ConstantLatency)

@@ -2,10 +2,10 @@
 
 Four contracts are pinned down here:
 
-* **Legacy equivalence.**  A flat spec resolves into the legacy phase
-  decomposition, and running it through the phase executor produces the exact
-  event trace the historical driver produced -- a flat spec and its explicit
-  phased rewrite are indistinguishable, measurement for measurement.
+* **Converted cells.**  The registry cells that used to be declared as flat
+  fields declare exactly the phases that shape resolved to, and each still
+  replays the event trace it produced before the conversion (pinned per cell
+  at seed 0).
 * **Start conditions.**  ``start_offset`` delays, ``start_fraction`` gates on
   ring membership under churn, and ``start_quiescence`` waits out the split
   cascade, firing exactly once; every bounded wait degrades to a timed-out
@@ -22,16 +22,27 @@ import json
 
 import pytest
 
-from repro.harness.phases import ChurnSpec, PhaseSpec, QueryMixSpec, WorkloadSpec, validate_phases
+from dataclasses import replace
+
+from repro.harness.phases import (
+    ChurnSpec,
+    PhaseSpec,
+    QueryMixSpec,
+    WorkloadSpec,
+    paper_build_phase,
+    validate_phases,
+)
 from repro.harness.scenarios import ScenarioSpec, build_experiment, get_scenario, run_spec
 
 TINY = ScenarioSpec(
     name="phase-tiny",
     peers=6,
-    join_period=1.0,
-    settle_time=10.0,
-    workload=WorkloadSpec(items=40, insert_rate=4.0),
-    queries=QueryMixSpec(count=3),
+    phases=(
+        paper_build_phase(
+            6, WorkloadSpec(items=40, insert_rate=4.0), settle=10.0, join_period=1.0
+        ),
+        PhaseSpec(name="queries", queries=QueryMixSpec(count=3)),
+    ),
 )
 
 # A small split-cascade cell: free peers arrive as a crowd and a fast item
@@ -61,36 +72,81 @@ CASCADE = ScenarioSpec(
 )
 
 
-# --------------------------------------------------------------------------- legacy resolution
+# --------------------------------------------------------------------------- converted cells
+# (events_processed, rpc_calls, items_stored, ring_members) of each cell at
+# seed 0, measured on the flat-field lifecycle these cells were declared with
+# before they became explicit phase tuples: the conversion is a refactor, not
+# a behaviour change.
+CONVERTED_CELL_TRACES = {
+    "paper_default": (25694, 6270, 180, 30),
+    "smoke": (2461, 523, 50, 8),
+    "zipf_hotspot": (31980, 7873, 220, 30),
+    "flash_crowd": (22232, 5403, 200, 31),
+    "churn_heavy": (48814, 12158, 162, 18),
+    "correlated_failures": (23961, 5801, 150, 19),
+}
+
+
 def test_flat_spec_resolves_into_legacy_phases():
     phases = TINY.resolved_phases()
     assert [phase.name for phase in phases] == ["build", "queries"]
     build = phases[0]
     assert build.arrivals == TINY.peers - 1
-    assert build.arrival_period == TINY.join_period
-    assert build.workload == TINY.workload
-    assert build.settle == TINY.settle_time
-    assert phases[1].queries == TINY.queries
+    assert build.arrival_period == 1.0
+    assert build.workload == WorkloadSpec(items=40, insert_rate=4.0)
+    assert build.settle == 10.0
+    assert phases[1].queries == QueryMixSpec(count=3)
 
 
-def test_flat_spec_with_failures_and_outage_resolves_all_legacy_phases():
-    spec = TINY.with_(
-        churn=ChurnSpec(failure_rate_per_100s=6.0, failure_window=50.0, correlated_failures=2)
-    )
-    names = [phase.name for phase in spec.resolved_phases()]
-    assert names == ["build", "failures", "outage", "queries"]
-    failures = spec.resolved_phases()[1]
-    assert failures.churn.failure_rate_per_100s == 6.0
-    assert failures.churn.failure_window == 50.0
+def test_paper_build_phase_spells_the_paper_defaults():
+    workload = WorkloadSpec(items=33, distribution="zipf", params={"alpha": 1.3})
+    build = paper_build_phase(30, workload)
+    assert build.name == "build"
+    assert build.arrivals == 29  # everyone but the bootstrap peer
+    assert build.arrival_period == 3.0
+    assert build.settle == 30.0
+    assert build.workload == workload
+    assert build.churn == ChurnSpec()
+    # paper_default is that phase with its quiet tail split into a settle phase.
+    paper = get_scenario("paper_default").phases
+    assert [phase.name for phase in paper] == ["build", "settle", "queries"]
+    assert paper[0] == replace(paper_build_phase(30, WorkloadSpec(items=180)), settle=0.0)
+    assert paper[1].settle == 30.0
 
 
-def test_flat_spec_without_queries_drops_the_query_phase():
-    spec = TINY.with_(queries=QueryMixSpec(count=0))
-    assert [phase.name for phase in spec.resolved_phases()] == ["build"]
+def test_converted_cells_declare_the_legacy_phase_shapes():
+    shapes = {
+        name: [phase.name for phase in get_scenario(name).phases]
+        for name in CONVERTED_CELL_TRACES
+    }
+    assert shapes == {
+        "paper_default": ["build", "settle", "queries"],
+        "smoke": ["build", "queries"],
+        "zipf_hotspot": ["build", "queries"],
+        "flash_crowd": ["build", "queries"],
+        "churn_heavy": ["build", "failures", "queries"],
+        "correlated_failures": ["build", "outage", "queries"],
+    }
+    failures = get_scenario("churn_heavy").phases[1]
+    assert failures.churn == ChurnSpec(failure_rate_per_100s=12.0, failure_window=100.0)
+    outage = get_scenario("correlated_failures").phases[1]
+    assert outage.churn == ChurnSpec(correlated_failures=5)
+    assert outage.settle == 30.0
+    crowd = get_scenario("flash_crowd").phases[0]
+    assert (crowd.arrivals, crowd.churn.flash_crowd_peers) == (5, 25)
+
+
+@pytest.mark.parametrize("name", sorted(CONVERTED_CELL_TRACES))
+def test_converted_cells_keep_their_event_traces(name):
+    result = run_spec(get_scenario(name), seed=0)
+    trace = (result.events_processed, result.rpc_calls, result.items_stored, result.ring_members)
+    assert trace == CONVERTED_CELL_TRACES[name]
 
 
 def test_explicit_phases_returned_verbatim_and_validated():
     assert CASCADE.resolved_phases() == CASCADE.phases
+    with pytest.raises(ValueError, match="declares no phases"):
+        ScenarioSpec(name="x")
     with pytest.raises(ValueError, match="duplicate phase name"):
         TINY.with_(phases=(PhaseSpec(name="a"), PhaseSpec(name="a"))).resolved_phases()
     with pytest.raises(ValueError, match="start_fraction"):
@@ -100,23 +156,6 @@ def test_explicit_phases_returned_verbatim_and_validated():
     with pytest.raises(ValueError, match="settle"):
         PhaseSpec(name="x", settle=-1.0).validate()
     validate_phases(CASCADE.phases)  # the registry shape itself is valid
-
-
-def test_flat_spec_and_explicit_phased_rewrite_are_equivalent():
-    """The tentpole invariant: phasing is a refactor, not a behaviour change."""
-    flat = TINY.with_(
-        churn=ChurnSpec(failure_rate_per_100s=8.0, failure_window=40.0)
-    )
-    phased = flat.with_(phases=flat.resolved_phases())
-    first = run_spec(flat, seed=5)
-    second = run_spec(phased, seed=5)
-    assert first.events_processed == second.events_processed
-    assert first.sim_time_s == second.sim_time_s
-    assert first.rpc_per_method == second.rpc_per_method
-    assert first.metrics == second.metrics
-    assert first.ring_members == second.ring_members
-    assert first.items_stored == second.items_stored
-    assert [p["phase"] for p in first.phases] == [p["phase"] for p in second.phases]
 
 
 # --------------------------------------------------------------------------- start conditions
@@ -306,9 +345,14 @@ def test_phase_schedule_merges_with_staggered_arrivals():
 
 def test_run_phases_on_experiment_returns_outcomes_and_victims():
     spec = TINY.with_(
-        churn=ChurnSpec(correlated_failures=2),
-        workload=WorkloadSpec(items=60, insert_rate=4.0),
         peers=10,
+        phases=(
+            paper_build_phase(
+                10, WorkloadSpec(items=60, insert_rate=4.0), settle=10.0, join_period=1.0
+            ),
+            PhaseSpec(name="outage", churn=ChurnSpec(correlated_failures=2), settle=10.0),
+            TINY.phases[-1],
+        ),
     )
     experiment = build_experiment(spec, seed=1)
     results, outcomes, victims = experiment.run_phases(spec.resolved_phases(), total_peers=10)

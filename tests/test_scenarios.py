@@ -1,6 +1,7 @@
 """Tests for the scenario registry, spec resolution and the cell runner."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,12 +18,13 @@ from repro.harness.runner import (
 from repro.harness.scenarios import (
     ChurnSpec,
     LatencySpec,
+    PhaseSpec,
     QueryMixSpec,
     ScenarioSpec,
     WorkloadSpec,
-    build_experiment,
     get_scenario,
     get_suite,
+    paper_build_phase,
     register,
     run_spec,
     scenario_names,
@@ -34,10 +36,12 @@ from repro.sim.network import LanWanLatency, UniformLatency
 TINY = ScenarioSpec(
     name="tiny-test-cell",
     peers=6,
-    join_period=1.0,
-    settle_time=10.0,
-    workload=WorkloadSpec(items=40, insert_rate=4.0),
-    queries=QueryMixSpec(count=3),
+    phases=(
+        paper_build_phase(
+            6, WorkloadSpec(items=40, insert_rate=4.0), settle=10.0, join_period=1.0
+        ),
+        PhaseSpec(name="queries", queries=QueryMixSpec(count=3)),
+    ),
 )
 
 
@@ -117,12 +121,13 @@ def test_spec_config_overrides_apply():
 
 
 def test_spec_settings_carry_workload_shape():
-    spec = TINY.with_(workload=WorkloadSpec(items=33, distribution="zipf", params={"alpha": 1.3}))
-    settings = spec.settings(seed=2)
-    assert settings.items == 33
-    assert settings.key_distribution == "zipf"
-    assert settings.key_params == {"alpha": 1.3}
-    assert settings.seed == 2
+    workload = WorkloadSpec(items=33, distribution="zipf", params={"alpha": 1.3})
+    spec = TINY.with_(phases=(paper_build_phase(TINY.peers, workload),))
+    build = spec.resolved_phases()[0]
+    assert build.workload.items == 33
+    assert build.workload.distribution == "zipf"
+    assert build.workload.params == {"alpha": 1.3}
+    assert spec.index_config(seed=2).seed == 2
 
 
 def test_wan_scenarios_and_suite_registered():
@@ -145,8 +150,8 @@ def test_latency_spec_resolves_into_network_config():
     assert isinstance(model, LanWanLatency)
     assert model.sites == 3
     assert (model.wan.low, model.wan.high) == (0.04, 0.09)
-    # The default spec leaves the network untouched (legacy uniform bounds).
-    assert TINY.index_config().network.latency_model is None
+    # The default spec leaves the network untouched (the paper's LAN band).
+    assert TINY.index_config().network.latency_model == UniformLatency(0.0005, 0.003)
     with pytest.raises(ValueError, match="unknown latency model"):
         TINY.with_(latency=LatencySpec(model="bogus")).index_config()
 
@@ -159,10 +164,10 @@ def test_latency_spec_uniform_model():
 
 
 def test_flash_crowd_spec_merges_into_build_schedule():
-    spec = TINY.with_(churn=ChurnSpec(flash_crowd_peers=4, flash_crowd_at=2.0))
-    experiment = build_experiment(spec)
-    assert experiment.extra_churn is not None
-    assert len(experiment.extra_churn) == 4
+    build = replace(TINY.phases[0], churn=ChurnSpec(flash_crowd_peers=4, flash_crowd_at=2.0))
+    result = run_spec(TINY.with_(phases=(build,)), seed=0)
+    # 1 bootstrap peer + 5 staggered arrivals + the 4-peer crowd, nobody fails.
+    assert result.ring_members + result.free_peers == 10
 
 
 # --------------------------------------------------------------------------- execution
@@ -194,9 +199,12 @@ def test_correlated_failures_phase_kills_members():
     spec = TINY.with_(
         name="tiny-corr",
         peers=10,
-        workload=WorkloadSpec(items=60, insert_rate=4.0),
-        churn=ChurnSpec(correlated_failures=2),
-        queries=QueryMixSpec(count=0),
+        phases=(
+            paper_build_phase(
+                10, WorkloadSpec(items=60, insert_rate=4.0), settle=10.0, join_period=1.0
+            ),
+            PhaseSpec(name="outage", churn=ChurnSpec(correlated_failures=2), settle=10.0),
+        ),
     )
     result = run_spec(spec, seed=1)
     assert result.correlated_failures_injected == 2
@@ -279,8 +287,7 @@ def test_aggregate_cells_per_scenario_stats():
             "rpc_calls": 50,
             "rpc_timeouts": seed,
             "messages_sent": 200,
-            "query_mean_elapsed_s": 0.1 * (seed + 1),
-            "query_mean_hops": 2.0,
+            "query_mean_hops": 2.0 * (seed + 1),
         }
 
     cells = [cell("a", 0, 1.0), cell("a", 1, 3.0), cell("b", 0, 2.0)]
@@ -290,7 +297,7 @@ def test_aggregate_cells_per_scenario_stats():
     assert aggregates["a"]["wall_clock_s"] == {
         "mean": 2.0, "p95": 3.0, "min": 1.0, "max": 3.0,
     }
-    assert aggregates["a"]["query_mean_elapsed_s"]["mean"] == pytest.approx(0.15)
+    assert aggregates["a"]["query_mean_hops"]["mean"] == pytest.approx(3.0)
     assert aggregates["b"]["seeds"] == [0]
     assert aggregates["b"]["wall_clock_s"]["p95"] == 2.0
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.network import Network, NetworkConfig, RpcRemoteError, RpcTimeout
+from repro.sim.network import Network, NetworkConfig, RpcRemoteError, RpcTimeout, UniformLatency
 from repro.transport.endpoint import Endpoint
 from repro.sim.randomness import RngStreams
 
@@ -31,9 +31,9 @@ def env():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        NetworkConfig(latency_min=-1).validate()
+        NetworkConfig(latency_model=UniformLatency(-1, 0.003)).validate()
     with pytest.raises(ValueError):
-        NetworkConfig(latency_min=2, latency_max=1).validate()
+        NetworkConfig(latency_model=UniformLatency(2, 1)).validate()
     with pytest.raises(ValueError):
         NetworkConfig(drop_probability=1.5).validate()
     with pytest.raises(ValueError):
@@ -60,8 +60,9 @@ def test_rpc_latency_applied(env):
         return sim.now
 
     elapsed = sim.run_process(proc())
-    assert elapsed >= 2 * network.config.latency_min
-    assert elapsed <= 2 * network.config.latency_max + 1e-9
+    model = network.config.latency_model
+    assert elapsed >= 2 * model.low
+    assert elapsed <= 2 * model.high + 1e-9
 
 
 def test_rpc_to_unknown_address_times_out(env):

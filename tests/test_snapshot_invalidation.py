@@ -45,17 +45,24 @@ def _pre_phases(spec):
 
 
 # ------------------------------------------------------------------ build hash
+def _with_build_items(spec, items):
+    """``spec`` with its build phase inserting ``items`` items."""
+    build, *rest = spec.phases
+    workload = replace(build.workload, items=items)
+    return spec.with_(phases=(replace(build, workload=workload), *rest))
+
+
 def test_spec_edits_change_the_hash():
     spec = _smoke()
     base = build_hash(spec, _pre_phases(spec))
     assert base == build_hash(spec, _pre_phases(spec))  # deterministic
     edits = [
         spec.with_(peers=spec.peers + 1),
-        spec.with_(workload=replace(spec.workload, items=spec.workload.items + 5)),
+        _with_build_items(spec, spec.total_items() + 5),
         spec.with_(description="edited"),
     ]
     for edited in edits:
-        assert build_hash(edited, _pre_phases(spec)) != base
+        assert build_hash(edited, _pre_phases(edited)) != base
 
 
 def test_pre_phase_edits_change_the_hash():
@@ -97,12 +104,12 @@ def test_spec_edit_rebuilds_instead_of_resuming(tmp_path):
     spec = _smoke()
     run_spec(spec, seed=0, snapshot_dir=str(tmp_path))
     assert len(list(tmp_path.glob(f"*{SNAPSHOT_SUFFIX}"))) == 1
-    edited = spec.with_(workload=replace(spec.workload, items=spec.workload.items + 1))
+    edited = _with_build_items(spec, spec.total_items() + 1)
     rerun = run_spec(edited, seed=0, snapshot_dir=str(tmp_path))
     # The stale file was ignored, a cold build ran, and the *new* key's
     # snapshot now sits alongside the old one.
     assert not rerun.warm_start
-    assert rerun.items_stored == spec.workload.items + 1
+    assert rerun.items_stored == spec.total_items() + 1
     assert len(list(tmp_path.glob(f"*{SNAPSHOT_SUFFIX}"))) == 2
     assert run_spec(edited, seed=0, snapshot_dir=str(tmp_path)).warm_start
 
@@ -179,4 +186,4 @@ def test_structural_mismatch_falls_back_cold(written, tmp_path):
     save_snapshot(path, key, 0, state)
     rerun = run_spec(_smoke(), seed=0, snapshot_dir=str(tmp_path))
     assert not rerun.warm_start
-    assert rerun.items_stored == _smoke().workload.items  # the cold run is intact
+    assert rerun.items_stored == _smoke().total_items()  # the cold run is intact

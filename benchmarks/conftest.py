@@ -5,7 +5,8 @@ correctness/availability ablations).  Figures are resolved *by name* through
 the harness registry (``repro.harness.figures.ALL_FIGURES`` -- the same lookup
 ``repro-run figure_19`` uses), executed once inside ``pytest-benchmark``'s
 timer, printed as the series the paper plots, and emitted as
-``BENCH_<name>.json`` -- into a temporary directory by default, so a test run
+``BENCH_<name>.json`` in the envelope ``repro-run`` writes (one figure cell,
+seed offset 0) -- into a temporary directory by default, so a test run
 leaves the working tree clean; ``--bench-json-dir .`` refreshes the tracked
 files in the repo root.  The simulated deployments are slightly smaller than
 the paper's 30-peer testbed so the whole suite finishes in a few minutes;
@@ -50,28 +51,23 @@ def bench_json_dir(request, tmp_path_factory):
 
 
 def run_figure(benchmark, figure_name, bench_dir=".", **kwargs):
-    """Run the named registry figure once under the benchmark timer."""
-    from repro.harness.figures import ALL_FIGURES
-    from repro.harness.runner import write_bench
+    """Run the named registry figure once under the benchmark timer.
 
-    figure_function = ALL_FIGURES[figure_name]
+    Returns the figure cell (see ``repro.harness.runner.figure_cell``) and
+    writes it in the same BENCH envelope ``repro-run`` emits.
+    """
+    from repro.harness.reporting import format_table
+    from repro.harness.runner import bench_payload, figure_cell, write_bench
+
     started = time.perf_counter()
-    result = benchmark.pedantic(lambda: figure_function(**kwargs), rounds=1, iterations=1)
-    wall = time.perf_counter() - started
-    print()
-    print(result.as_table())
-    if result.notes:
-        print(f"note: {result.notes}")
-    write_bench(
-        figure_name,
-        {
-            "summary": {"wall_clock_s": round(wall, 3), "parameters": _plain(kwargs)},
-            "results": [result.as_dict()],
-        },
-        out_dir=bench_dir,
+    cell = benchmark.pedantic(
+        lambda: figure_cell(figure_name, 0, **kwargs), rounds=1, iterations=1
     )
-    return result
-
-
-def _plain(kwargs):
-    return {key: list(value) if isinstance(value, tuple) else value for key, value in kwargs.items()}
+    elapsed = time.perf_counter() - started
+    print()
+    print(f"{cell['figure']}: {cell['description']}")
+    print(format_table(cell["headers"], cell["rows"]))
+    if cell["notes"]:
+        print(f"note: {cell['notes']}")
+    write_bench(figure_name, bench_payload([cell], [0], elapsed), out_dir=bench_dir)
+    return cell

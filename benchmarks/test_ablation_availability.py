@@ -16,7 +16,7 @@ def test_ablation_item_availability_after_merges(benchmark, figure_scale, bench_
         peers=max(10, figure_scale["peers"] - 4),
         items=max(60, figure_scale["items"] - 30),
     )
-    rows = {row[0]: row for row in result.rows}
+    rows = {row[0]: row for row in result["rows"]}
     assert rows["pepper"][1] >= 1, "the workload must force at least one merge"
     # The paper's protocols never lose an item.
     assert rows["pepper"][2] == 0

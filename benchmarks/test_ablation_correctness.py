@@ -19,7 +19,7 @@ def test_ablation_query_correctness_under_churn(benchmark, figure_scale, bench_j
         items=figure_scale["items"],
         queries=15,
     )
-    rows = {row[0]: row for row in result.rows}
+    rows = {row[0]: row for row in result["rows"]}
     scan_strategy = rows["scan"]
     assert scan_strategy[1] > 0, "the scanRange run must actually execute queries"
     # Theorem 3: scanRange never returns an incorrect result.

@@ -19,8 +19,8 @@ def test_figure_19_insertsucc_vs_successor_list_length(benchmark, figure_scale, 
         peers=figure_scale["peers"],
         items=figure_scale["items"],
     )
-    naive = {row[0]: row[1] for row in result.rows}
-    pepper = {row[0]: row[2] for row in result.rows}
+    naive = {row[0]: row[1] for row in result["rows"]}
+    pepper = {row[0]: row[2] for row in result["rows"]}
     # PEPPER is always at least as expensive as the naive insert.
     assert all(pepper[length] >= naive[length] for length in naive)
     # ... and the cost grows with the successor-list length.

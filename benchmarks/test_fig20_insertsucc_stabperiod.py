@@ -17,8 +17,8 @@ def test_figure_20_insertsucc_vs_stabilization_period(benchmark, figure_scale, b
         peers=figure_scale["peers"],
         items=figure_scale["items"],
     )
-    naive = {row[0]: row[1] for row in result.rows}
-    pepper = {row[0]: row[2] for row in result.rows}
+    naive = {row[0]: row[1] for row in result["rows"]}
+    pepper = {row[0]: row[2] for row in result["rows"]}
     assert all(pepper[period] >= naive[period] for period in naive)
     # Thanks to proactive nudging, quadrupling the stabilization period must
     # not blow the PEPPER insertSucc up proportionally (stays within ~4x of the

@@ -18,7 +18,7 @@ def test_figure_22_leave_and_merge_overhead(benchmark, figure_scale, bench_json_
         peers=max(10, figure_scale["peers"] - 4),
         items=figure_scale["items"],
     )
-    for length, merge_time, safe_leave, naive_leave in result.rows:
+    for length, merge_time, safe_leave, naive_leave in result["rows"]:
         # The availability-preserving protocols are orders of magnitude more
         # expensive than the naive leave, which is (near) instantaneous.
         assert naive_leave < 0.01, (length, naive_leave)

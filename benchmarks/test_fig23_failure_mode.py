@@ -18,8 +18,8 @@ def test_figure_23_insertsucc_under_failures(benchmark, figure_scale, bench_json
         items=figure_scale["items"],
         extra_peers=6,
     )
-    series = {row[0]: row[1] for row in result.rows}
-    samples = {row[0]: row[2] for row in result.rows}
+    series = {row[0]: row[1] for row in result["rows"]}
+    samples = {row[0]: row[2] for row in result["rows"]}
     assert all(count > 0 for count in samples.values()), "every rate needs insertSucc samples"
     # Failures must not make insertSucc meaningfully *faster* (within noise --
     # only a handful of inserts land inside each failure window)...

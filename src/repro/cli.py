@@ -150,67 +150,64 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(str(error), file=sys.stderr)
         return 2
     print(json.dumps(payload["summary"], indent=2))
+    from repro.harness.reporting import format_table
+
     for cell in payload["results"]:
-        if "scenario" in cell:
-            print(
-                f"{cell['scenario']}[seed={cell['seed']}]: "
-                f"wall={cell['wall_clock_s']:.2f}s sim={cell['sim_time_s']:.0f}s "
-                f"events={cell['events_processed']} "
-                f"({cell['events_per_wall_s']:.0f}/s) ring={cell['ring_members']} "
-                f"items={cell['items_stored']}/{cell['items_requested']} "
-                f"reachable={cell.get('items_reachable', '?')}"
-                f"{' (warm start)' if cell.get('warm_start') else ''}"
-            )
-            latency = cell.get("query_latency") or {}
-            if latency:
-                serve = (
-                    f" serve={cell['serve_correct']}/{cell['serve_queries']} correct "
-                    f"load_var={cell['serve_load_variance']:.2f}"
-                    if cell.get("serve_queries")
-                    else ""
-                )
-                print(
-                    f"  queries: n={latency['count']:.0f} "
-                    f"p50={latency['p50'] * 1000:.1f}ms p99={latency['p99'] * 1000:.1f}ms "
-                    f"mean={latency['mean'] * 1000:.1f}ms{serve}"
-                )
-            for phase in cell.get("phases", ()):
-                timed_out = " START-TIMEOUT" if phase["start_timed_out"] else ""
-                print(
-                    f"  {phase['phase']}: {phase['start_condition']} "
-                    f"wait={phase['wait_s']:.1f}s sim={phase['sim_seconds']:.1f}s "
-                    f"ring={phase['ring_members_start']}->{phase['ring_members']} "
-                    f"rpcs={phase['rpc_calls']}{timed_out}"
-                )
-        elif "figure" in cell:
-            from repro.harness.reporting import format_table
-
-            print(f"{cell['figure']}: {cell['description']} [seed={cell.get('seed', '?')}]")
+        if "rows" in cell:
+            print(f"{cell['figure']}: {cell['description']} [seed={cell['seed']}]")
             print(format_table(cell["headers"], cell["rows"]))
-    aggregates = payload.get("aggregates", {})
-    if "rows" in aggregates:
-        # A multi-seed figure run: print the seed-averaged rows.
-        from repro.harness.reporting import format_table
-
-        print(f"mean over seeds {payload['seeds']}:")
-        print(format_table(aggregates["headers"], aggregates["rows"]))
-    else:
-        for scenario, stats in aggregates.items():
-            wall = stats["wall_clock_s"]
-            latency = ""
-            if "query_latency" in stats:
-                block = stats["query_latency"]
-                latency = (
-                    f" q_p50={block['p50']['mean'] * 1000:.1f}ms"
-                    f" q_p99={block['p99']['mean'] * 1000:.1f}ms"
-                )
-            if "serve_load_variance" in stats:
-                latency += f" load_var={stats['serve_load_variance']['mean']:.2f}"
-            print(
-                f"{scenario} x{len(stats['seeds'])} seeds: "
-                f"wall mean={wall['mean']:.2f}s p95={wall['p95']:.2f}s "
-                f"rpcs mean={stats['rpc_calls']['mean']:.0f}{latency}"
+            continue
+        print(
+            f"{cell['scenario']}[seed={cell['seed']}]: "
+            f"wall={cell['wall_clock_s']:.2f}s sim={cell['sim_time_s']:.0f}s "
+            f"events={cell['events_processed']} "
+            f"({cell['events_per_wall_s']:.0f}/s) ring={cell['ring_members']} "
+            f"items={cell['items_stored']}/{cell['items_requested']} "
+            f"reachable={cell.get('items_reachable', '?')}"
+            f"{' (warm start)' if cell.get('warm_start') else ''}"
+        )
+        latency = cell.get("query_latency") or {}
+        if latency:
+            serve = (
+                f" serve={cell['serve_correct']}/{cell['serve_queries']} correct "
+                f"load_var={cell['serve_load_variance']:.2f}"
+                if cell.get("serve_queries")
+                else ""
             )
+            print(
+                f"  queries: n={latency['count']:.0f} "
+                f"p50={latency['p50'] * 1000:.1f}ms p99={latency['p99'] * 1000:.1f}ms "
+                f"mean={latency['mean'] * 1000:.1f}ms{serve}"
+            )
+        for phase in cell.get("phases", ()):
+            timed_out = " START-TIMEOUT" if phase["start_timed_out"] else ""
+            print(
+                f"  {phase['phase']}: {phase['start_condition']} "
+                f"wait={phase['wait_s']:.1f}s sim={phase['sim_seconds']:.1f}s "
+                f"ring={phase['ring_members_start']}->{phase['ring_members']} "
+                f"rpcs={phase['rpc_calls']}{timed_out}"
+            )
+    for scenario, stats in payload["aggregates"].items():
+        if "rows" in stats:
+            if len(stats["seeds"]) > 1:
+                print(f"{scenario} mean over seeds {stats['seeds']}:")
+                print(format_table(stats["headers"], stats["rows"]))
+            continue
+        wall = stats["wall_clock_s"]
+        latency = ""
+        if "query_latency" in stats:
+            block = stats["query_latency"]
+            latency = (
+                f" q_p50={block['p50']['mean'] * 1000:.1f}ms"
+                f" q_p99={block['p99']['mean'] * 1000:.1f}ms"
+            )
+        if "serve_load_variance" in stats:
+            latency += f" load_var={stats['serve_load_variance']['mean']:.2f}"
+        print(
+            f"{scenario} x{len(stats['seeds'])} seeds: "
+            f"wall mean={wall['mean']:.2f}s p95={wall['p95']:.2f}s "
+            f"rpcs mean={stats['rpc_calls']['mean']:.0f}{latency}"
+        )
     return 0
 
 

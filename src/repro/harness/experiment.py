@@ -28,7 +28,6 @@ from repro.serve.workload import OpenLoopQuery, open_loop_queries
 from repro.workloads.churn import (
     FAIL,
     JOIN,
-    ChurnEvent,
     ChurnSchedule,
     failure_schedule,
     flash_crowd_schedule,
@@ -129,12 +128,6 @@ class ClusterExperiment:
                 spacing=phase.churn.flash_crowd_spacing,
             )
             joins = crowd if joins is None else joins.merged_with(crowd)
-        if phase.schedule is not None and len(phase.schedule) > 0:
-            # Arbitrary pre-built churn: event times are phase-relative.
-            shifted = ChurnSchedule(
-                [ChurnEvent(sim.now + event.time, event.kind) for event in phase.schedule]
-            )
-            joins = shifted if joins is None else joins.merged_with(shifted)
 
         workload: Optional[ItemWorkload] = None
         if phase.workload is not None:
@@ -434,14 +427,6 @@ class ClusterExperiment:
         """Let the system run with no external activity."""
         self.index.run(duration)
 
-    def inject_failures(self, rate_per_100s: float, duration: float) -> int:
-        """Run a failure phase: kill random ring members at the given rate."""
-        rng = self.index.rngs.stream("failures")
-        schedule = failure_schedule(rate_per_100s, duration, rng, start=self.index.sim.now)
-        self.index.sim.process(self._membership_driver(schedule), name="driver:failures")
-        self.index.run(duration)
-        return len(schedule)
-
     def grow(self, peers: int, period: float, settle: float) -> None:
         """Add ``peers`` peers one per ``period``, then run ``settle`` more seconds."""
         schedule = join_schedule(peers, period=period, start=self.index.sim.now + 0.1)
@@ -489,41 +474,7 @@ class ClusterExperiment:
             strategy=result["strategy"],
         )
 
-    def run_queries_by_hops(
-        self, hop_targets: List[int], queries_per_target: int = 5
-    ) -> Dict[int, List[QueryOutcome]]:
-        """Issue queries sized to span the requested hop counts (Figure 21)."""
-        rng = self.index.rngs.stream("queries")
-        outcomes: Dict[int, List[QueryOutcome]] = {}
-        for target in hop_targets:
-            for _ in range(queries_per_target):
-                members = self.index.ring_members()  # already in ring-value order
-                if len(members) < 2:
-                    continue
-                values = [peer.ring.value for peer in members]
-                start_index = rng.randrange(len(values))
-                end_index = start_index + min(target, len(values) - 1)
-                lb = values[start_index]
-                if end_index >= len(values):
-                    continue
-                ub = values[end_index]
-                if ub <= lb:
-                    continue
-                via = members[rng.randrange(len(members))].address
-                outcome = self.run_query(lb, ub, via=via)
-                outcomes.setdefault(outcome.hops, []).append(outcome)
-                self.index.run(0.5)
-        return outcomes
-
     # ------------------------------------------------------------------ metric helpers
     def mean_metric(self, name: str) -> Optional[float]:
         """Mean of a named metric collected so far."""
         return self.index.metrics.mean(name)
-
-    def metric_values(self, name: str) -> List[float]:
-        return self.index.metrics.values(name)
-
-    def expected_keys(self, lb: float, ub: float) -> List[float]:
-        """Keys inserted (and not deleted) that fall in ``(lb, ub]``."""
-        alive = set(self.inserted_keys) - set(self.deleted_keys)
-        return sorted(k for k in alive if lb < k <= ub)

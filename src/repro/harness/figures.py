@@ -1,12 +1,14 @@
 """Per-figure reproduction of the paper's evaluation (Section 6).
 
-Every figure is now a *registry scenario*: deployments are described by
-:class:`~repro.harness.scenarios.ScenarioSpec` and built through the shared
-driver, and the parameter sweeps of Figures 19/20/22 are declared as
-:class:`FigureSweep` tables executed by one generic :func:`run_sweep` engine.
-The ``figure_*`` functions remain as thin, signature-stable entry points (the
-tier-1 tests and the benchmark suite call them directly) and are also exposed
-through ``ALL_FIGURES`` so ``repro-run figure_19`` resolves them by name.
+Every figure is a runner cell: ``ALL_FIGURES`` maps its name to a
+``figure_*`` function, and :func:`repro.harness.runner.figure_cell` runs it
+into the same BENCH envelope as the registry scenarios (``repro-run
+figure_19``).  Each deployment is the paper's build phase
+(:func:`~repro.harness.phases.paper_build_phase`) played by the shared
+:class:`ClusterExperiment` driver, and the parameter sweeps of Figures
+19/20/22 are declared as :class:`FigureSweep` tables executed by one generic
+:func:`run_sweep` engine.  The ``figure_*`` functions stay signature-stable:
+the tier-1 tests and the benchmark suite call them directly.
 
 Absolute numbers differ from the paper (their testbed is a real LAN cluster;
 ours is a simulator with a configurable latency model), but the comparisons
@@ -27,12 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.correctness import ItemTimeline, check_query_result, count_lost_items
 from repro.harness.experiment import ClusterExperiment
 from repro.harness.reporting import format_table
-from repro.harness.scenarios import (
-    ScenarioSpec,
-    WorkloadSpec,
-    build_experiment,
-    paper_build_phase,
-)
+from repro.harness.phases import WorkloadSpec, paper_build_phase
 from repro.index.config import IndexConfig, default_config
 from repro.sim.network import LanWanLatency, NetworkConfig
 
@@ -51,10 +48,6 @@ class FigureResult:
         """The rows as an aligned text table (printed by the benchmarks)."""
         return f"{self.figure}: {self.description}\n" + format_table(self.headers, self.rows)
 
-    def series(self, x_index: int = 0, y_index: int = 1) -> Dict:
-        """A convenience ``x -> y`` mapping over the rows."""
-        return {row[x_index]: row[y_index] for row in self.rows}
-
     def as_dict(self) -> Dict[str, Any]:
         """JSON-serialisable form (used by the BENCH emission)."""
         return {
@@ -70,22 +63,14 @@ class FigureResult:
 FIGURE_SETTLE = 20.0
 
 
-def _figure_spec(config: IndexConfig, peers: int, items: int, seed: int) -> ScenarioSpec:
-    """The deployment cell every figure uses: paper shape, 20 s settle."""
-    return ScenarioSpec(
-        name="figure_cell",
-        peers=peers,
-        seed=seed,
-        phases=(paper_build_phase(peers, WorkloadSpec(items=items), settle=FIGURE_SETTLE),),
-        base_config=config,
-        protocols="base",  # the sweep already selected pepper/naive flags
+def _build(config: IndexConfig, peers: int, items: int) -> ClusterExperiment:
+    """The deployment every figure uses: the paper's build, then a 20 s settle."""
+    config.validate()
+    experiment = ClusterExperiment(config)
+    experiment.run_phases(
+        (paper_build_phase(peers, WorkloadSpec(items=items), settle=FIGURE_SETTLE),),
+        total_peers=peers,
     )
-
-
-def _build(config: IndexConfig, peers: int, items: int, seed: int) -> ClusterExperiment:
-    spec = _figure_spec(config, peers, items, seed)
-    experiment = build_experiment(spec)
-    experiment.run_phases(spec.phases, total_peers=peers)
     return experiment
 
 
@@ -137,8 +122,7 @@ def run_sweep(
                 config = config.with_pepper_protocols()
             elif variant == "naive":
                 config = config.with_naive_protocols()
-            cell_seed = config.seed
-            experiment = _build(config, peers, items, cell_seed)
+            experiment = _build(config, peers, items)
             if sweep.prepare is not None:
                 sweep.prepare(experiment)
             built[variant] = experiment
@@ -263,7 +247,7 @@ def figure_21(
     no overhead) and grow only slightly with the hop count on a LAN.
     """
     config = default_config(seed=seed).with_pepper_protocols()
-    experiment = _build(config, peers, items, seed)
+    experiment = _build(config, peers, items)
     index = experiment.index
     rng = index.rngs.stream("figure21")
 
@@ -346,7 +330,7 @@ def figure_23(
         config = default_config(seed=seed + int(rate)).with_pepper_protocols()
         if network is not None:
             config = config.copy(network=network)
-        experiment = _build(config, peers, items, seed + int(rate))
+        experiment = _build(config, peers, items)
         index = experiment.index
 
         before = len(index.metrics.values("insert_succ"))
@@ -474,7 +458,7 @@ def ablation_query_correctness(
         config = default_config(seed=seed).with_pepper_protocols()
         if strategy == "naive":
             config = config.copy(use_scan_range=False)
-        experiment = _build(config, peers, items, seed)
+        experiment = _build(config, peers, items)
         index = experiment.index
         rng = index.rngs.stream("ablation-a1")
 
@@ -547,7 +531,7 @@ def ablation_availability(
             config = config.copy(
                 extra_hop_replication=False, safe_leave=False
             )
-        experiment = _build(config, peers, items, seed)
+        experiment = _build(config, peers, items)
         index = experiment.index
 
         merges_before = index.metrics.count("merge")

@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.workloads.churn import ChurnSchedule
-
 
 # --------------------------------------------------------------------------- bound sub-specs
 @dataclass(frozen=True)
@@ -59,14 +57,6 @@ class ChurnSpec:
     flash_crowd_at: float = 0.0
     flash_crowd_spacing: float = 0.05
     correlated_failures: int = 0  # peers killed simultaneously at phase start
-
-    @property
-    def any_churn(self) -> bool:
-        return (
-            self.failure_rate_per_100s > 0
-            or self.flash_crowd_peers > 0
-            or self.correlated_failures > 0
-        )
 
 
 @dataclass(frozen=True)
@@ -168,11 +158,6 @@ class PhaseSpec:
     arrival_period: float = 3.0
     arrival_start: float = 0.5  # first arrival, relative to phase start
     churn: ChurnSpec = ChurnSpec()
-    # An arbitrary pre-built churn schedule (event times relative to the start
-    # of this phase's activity), merged after the staggered arrivals and any
-    # flash crowd.  This is how callers inject bespoke join/failure traces
-    # without growing ChurnSpec a field per shape.
-    schedule: Optional[ChurnSchedule] = None
     workload: Optional[WorkloadSpec] = None
     workload_start: float = 1.0  # first insert, relative to phase start
     queries: Optional[QueryMixSpec] = None

@@ -14,9 +14,10 @@ Multi-seed runs are first-class: the runner executes the scenario x seed
 cross product and the BENCH envelope carries, next to the raw per-cell
 results, per-scenario mean/p95/min/max aggregates over the seeds (see
 :func:`aggregate_cells`) -- every number becomes a distribution instead of a
-single seed-0 point.  Figures honour multi-seed too: each requested seed is
-run as the figure's default seed plus that offset (so ``--seeds 0`` remains
-byte-identical to the historical single run) and matching rows are averaged.
+single seed-0 point.  A paper figure is one more kind of cell: each requested
+seed is run as the figure's default seed plus that offset (so ``--seeds 0``
+remains byte-identical to the historical single run), and its aggregate
+averages matching rows across the seeds.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.harness.figures import ALL_FIGURES
 from repro.harness.metrics import nearest_rank
 from repro.harness.scenarios import (
     TransportSpec,
@@ -58,9 +60,12 @@ def run_cell(
     snapshot cache directory (enabling capture + warm start, see
     :func:`repro.harness.scenarios.run_spec`); the optional fifth overrides
     the spec's ``warm_start`` flag.  ``None`` keeps the spec's own selection
-    in every slot.
+    in every slot.  A figure name runs :func:`figure_cell` with ``seed`` as
+    the seed offset (figures take none of the optional slots).
     """
     name, seed = cell[0], cell[1]
+    if name in ALL_FIGURES:
+        return figure_cell(name, seed)
     transport = cell[2] if len(cell) > 2 else None
     snapshot_dir = cell[3] if len(cell) > 3 else None
     warm_start = cell[4] if len(cell) > 4 else None
@@ -83,6 +88,9 @@ def run_cells(
 ) -> List[Dict[str, Any]]:
     """Run the cross product of ``names`` x ``seeds``, fanned across cores.
 
+    ``names`` may mix registry scenarios and figures; a figure's seeds are
+    offsets from its default seed (see :func:`figure_cell`).
+
     ``processes=None`` sizes the pool to ``min(cells, cores)``; ``processes<=1``
     runs serially in-process (no pool overhead, simpler tracebacks).
     ``transport`` overrides every cell's transport.
@@ -98,8 +106,9 @@ def run_cells(
         for name in names
         for seed in seeds
     ]
-    for cell in cells:
-        get_scenario(cell[0])  # fail fast on unknown names, before forking
+    for name in names:
+        if name not in ALL_FIGURES:
+            get_scenario(name)  # fail fast on unknown names, before forking
     if profile_dir is not None:
         return _run_cells_profiled(cells, profile_dir)
     if processes is None:
@@ -181,22 +190,27 @@ def _cells_summary(
     ran in a process pool -- dividing by it *understates* real throughput, so
     the summary reports both views: ``events_per_cell_wall_s`` (per-cell
     aggregate, comparable across pool sizes) and ``events_per_wall_s`` over
-    the actual elapsed pool wall time when the caller measured it.
+    the actual elapsed pool wall time when the caller measured it.  The event
+    and transport fields appear only when the cells count them (figure cells
+    do not).
     """
     total_wall = sum(cell["wall_clock_s"] for cell in cells)
-    total_events = sum(cell["events_processed"] for cell in cells)
-    summary = {
-        "cells": len(cells),
-        # Which transports executed the batch (normally one; mixed when a
-        # suite pairs sim and asyncio cells, e.g. localhost_fidelity).
-        "transports": sorted({cell["transport"] for cell in cells if "transport" in cell}),
-        "total_wall_clock_s": round(total_wall, 3),
-        "total_events_processed": total_events,
-        "events_per_cell_wall_s": round(total_events / total_wall) if total_wall else 0,
-    }
+    summary: Dict[str, Any] = {"cells": len(cells)}
+    # Which transports executed the batch (normally one; mixed when a suite
+    # pairs sim and asyncio cells, e.g. localhost_fidelity).
+    transports = sorted({cell["transport"] for cell in cells if "transport" in cell})
+    if transports:
+        summary["transports"] = transports
+    summary["total_wall_clock_s"] = round(total_wall, 3)
+    counted = all("events_processed" in cell for cell in cells)
+    if counted:
+        total_events = sum(cell["events_processed"] for cell in cells)
+        summary["total_events_processed"] = total_events
+        summary["events_per_cell_wall_s"] = round(total_events / total_wall) if total_wall else 0
     if elapsed_s is not None:
         summary["elapsed_wall_clock_s"] = round(elapsed_s, 3)
-        summary["events_per_wall_s"] = round(total_events / elapsed_s) if elapsed_s else 0
+        if counted:
+            summary["events_per_wall_s"] = round(total_events / elapsed_s) if elapsed_s else 0
     return summary
 
 
@@ -253,10 +267,10 @@ def _per_method_means(group: List[Dict[str, Any]]) -> Dict[str, float]:
     ``ring_ping`` volume), so the envelope carries it next to the raw
     per-cell profiles.
     """
-    methods = sorted({method for cell in group for method in cell.get("rpc_per_method", {})})
+    methods = sorted({method for cell in group for method in cell["rpc_per_method"]})
     return {
         method: round(
-            sum(cell.get("rpc_per_method", {}).get(method, 0) for cell in group) / len(group),
+            sum(cell["rpc_per_method"].get(method, 0) for cell in group) / len(group),
             1,
         )
         for method in methods
@@ -266,8 +280,9 @@ def _per_method_means(group: List[Dict[str, Any]]) -> Dict[str, float]:
 def aggregate_cells(cells: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Per-scenario mean/p95/min/max over seeds for the standard measurements.
 
-    Fields absent from a cell group (e.g. synthetic test cells) are simply
-    omitted from its aggregate rather than raising.
+    Fields absent from a cell group (e.g. figure or synthetic test cells) are
+    simply omitted from its aggregate rather than raising.  A figure group
+    also carries its ``headers`` and the seed-averaged ``rows``.
     """
     by_scenario: Dict[str, List[Dict[str, Any]]] = {}
     for cell in cells:
@@ -281,13 +296,29 @@ def aggregate_cells(cells: List[Dict[str, Any]]) -> Dict[str, Any]:
                 for field in _AGGREGATED_FIELDS
                 if all(field in cell for cell in group)
             },
-            "rpc_per_method_mean": _per_method_means(group),
         }
+        if all("rpc_per_method" in cell for cell in group):
+            entry["rpc_per_method_mean"] = _per_method_means(group)
         latency = _latency_aggregate(group)
         if latency:
             entry["query_latency"] = latency
+        if all("rows" in cell for cell in group):
+            entry["headers"] = list(group[0]["headers"])
+            entry["rows"] = _aggregate_figure_rows(group)
         aggregates[scenario] = entry
     return aggregates
+
+
+def bench_payload(
+    cells: List[Dict[str, Any]], seeds: Sequence[int], elapsed_s: Optional[float] = None
+) -> Dict[str, Any]:
+    """The BENCH envelope body for a batch of cells (see docs/BENCH_FORMAT.md)."""
+    return {
+        "summary": _cells_summary(cells, elapsed_s),
+        "seeds": list(seeds),
+        "aggregates": aggregate_cells(cells),
+        "results": cells,
+    }
 
 
 # --------------------------------------------------------------------------- figures
@@ -298,25 +329,28 @@ def _figure_seed(name: str, offset: int) -> int:
     offsetting keeps ``seeds=[0]`` byte-identical to those single runs while
     giving multi-seed sweeps distinct, reproducible deployments.
     """
-    from repro.harness.figures import ALL_FIGURES
-
     default = inspect.signature(ALL_FIGURES[name]).parameters["seed"].default
     return default + offset
 
 
-def run_figure_cell(cell: Tuple[str, int]) -> Dict[str, Any]:
-    """Execute one ``(figure_name, seed_offset)`` cell.  Top-level for picklability."""
-    from repro.harness.figures import ALL_FIGURES
+def figure_cell(name: str, offset: int = 0, **parameters: Any) -> Dict[str, Any]:
+    """Run one figure at seed offset ``offset``; ``parameters`` go to the figure.
 
-    name, offset = cell
+    Returns the figure's rows in the cell shape the envelope carries:
+    ``scenario`` (the figure name), the resolved ``seed``, ``seed_offset``,
+    the ``parameters`` passed and ``wall_clock_s``.
+    """
     seed = _figure_seed(name, offset)
     started = time.perf_counter()
-    figure = ALL_FIGURES[name](seed=seed)
-    result = figure.as_dict()
-    result["seed"] = seed
-    result["seed_offset"] = offset
-    result["wall_clock_s"] = round(time.perf_counter() - started, 3)
-    return result
+    figure = ALL_FIGURES[name](seed=seed, **parameters)
+    return {
+        "scenario": name,
+        "seed": seed,
+        "seed_offset": offset,
+        "parameters": parameters,
+        **figure.as_dict(),
+        "wall_clock_s": round(time.perf_counter() - started, 3),
+    }
 
 
 def _aggregate_figure_rows(results: List[Dict[str, Any]]) -> List[List[Any]]:
@@ -346,35 +380,6 @@ def _aggregate_figure_rows(results: List[Dict[str, Any]]) -> List[List[Any]]:
     return rows
 
 
-def _run_figure(
-    name: str, seeds: Sequence[int], processes: Optional[int]
-) -> Dict[str, Any]:
-    """Run a figure once per seed offset, optionally fanned across a pool."""
-    cells = [(name, offset) for offset in seeds]
-    started = time.perf_counter()
-    if processes is None:
-        processes = min(len(cells), os.cpu_count() or 1)
-    if processes <= 1 or len(cells) <= 1:
-        results = [run_figure_cell(cell) for cell in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            results = list(pool.map(run_figure_cell, cells))
-    payload: Dict[str, Any] = {
-        "summary": {
-            "wall_clock_s": round(time.perf_counter() - started, 3),
-            "figure_runs": len(results),
-        },
-        "seeds": [result["seed"] for result in results],
-        "results": results,
-    }
-    if len(results) > 1:
-        payload["aggregates"] = {
-            "headers": list(results[0]["headers"]),
-            "rows": _aggregate_figure_rows(results),
-        }
-    return payload
-
-
 def run_named(
     name: str,
     seeds: Sequence[int] = (0,),
@@ -385,75 +390,46 @@ def run_named(
     snapshot_dir: Optional[str] = None,
     warm_start: Optional[bool] = None,
 ) -> Dict[str, Any]:
-    """Run a registered scenario, suite or figure by name; emit its BENCH json.
+    """Run a registered suite, scenario or figure by name; emit its BENCH json.
 
-    Scenario and suite runs execute the full ``scenarios x seeds`` cross
-    product and carry per-scenario aggregates; figure runs execute once per
-    seed offset (see :func:`_figure_seed`).  ``transport`` overrides every
-    cell's transport; ``profile_dir`` captures
-    per-scenario cProfile reports; ``snapshot_dir`` / ``warm_start`` enable
-    the snapshot cache for every cell (see :func:`run_cells`); none of these
-    apply to figures.  Returns the emitted document (also written to
+    Every name runs the full ``cells x seeds`` cross product through
+    :func:`run_cells` and carries per-cell aggregates; a figure's seeds are
+    offsets from its default seed (see :func:`_figure_seed`).  ``transport``
+    overrides every cell's transport; ``profile_dir`` captures per-scenario
+    cProfile reports; ``snapshot_dir`` / ``warm_start`` enable the snapshot
+    cache for every cell (see :func:`run_cells`); none of these apply to
+    figures.  Returns the emitted document (also written to
     ``BENCH_<name>.json`` unless ``out_dir`` is ``None``).
     """
-    from repro.harness.figures import ALL_FIGURES  # deferred: figures import the harness
-
-    seeds = list(seeds)
+    if name in ALL_FIGURES and (
+        transport is not None or profile_dir is not None or snapshot_dir is not None
+    ):
+        raise ValueError(
+            "--transport/--profile/--snapshot-dir apply to scenarios and "
+            "suites, not figures"
+        )
+    names: Sequence[str] = [name]
+    bench_name = name
     if name in suite_names():
         suite = get_suite(name)
-        started = time.perf_counter()
-        cells = run_cells(
-            suite.scenarios,
-            seeds=seeds,
-            processes=processes,
-            transport=transport,
-            profile_dir=profile_dir,
-            snapshot_dir=snapshot_dir,
-            warm_start=warm_start,
-        )
-        elapsed = time.perf_counter() - started
+        names = suite.scenarios
         bench_name = suite.bench_name or suite.name
-        payload = {
-            "summary": _cells_summary(cells, elapsed),
-            "seeds": seeds,
-            "aggregates": aggregate_cells(cells),
-            "results": cells,
-        }
-    elif name in ALL_FIGURES:
-        if transport is not None or profile_dir is not None or snapshot_dir is not None:
-            raise ValueError(
-                "--transport/--profile/--snapshot-dir apply to scenarios and "
-                "suites, not figures"
-            )
-        payload = _run_figure(name, seeds, processes)
-        bench_name = name
-    else:
-        get_scenario(name)
-        started = time.perf_counter()
-        cells = run_cells(
-            [name],
-            seeds=seeds,
-            processes=processes,
-            transport=transport,
-            profile_dir=profile_dir,
-            snapshot_dir=snapshot_dir,
-            warm_start=warm_start,
-        )
-        elapsed = time.perf_counter() - started
-        bench_name = name
-        payload = {
-            "summary": _cells_summary(cells, elapsed),
-            "seeds": seeds,
-            "aggregates": aggregate_cells(cells),
-            "results": cells,
-        }
+    started = time.perf_counter()
+    cells = run_cells(
+        names,
+        seeds=seeds,
+        processes=processes,
+        transport=transport,
+        profile_dir=profile_dir,
+        snapshot_dir=snapshot_dir,
+        warm_start=warm_start,
+    )
+    payload = bench_payload(cells, seeds, time.perf_counter() - started)
     if transport is not None:
         payload["transport_override"] = transport
     if snapshot_dir is not None:
         payload["snapshot_dir"] = snapshot_dir
-        payload["warm_started_cells"] = sum(
-            1 for cell in payload.get("results", ()) if cell.get("warm_start")
-        )
+        payload["warm_started_cells"] = sum(1 for cell in cells if cell.get("warm_start"))
     if out_dir is not None:
         write_bench(bench_name, payload, out_dir=out_dir)
     return payload
@@ -461,6 +437,4 @@ def run_named(
 
 def known_names() -> List[str]:
     """Every runnable name: suites first, then scenarios, then figures."""
-    from repro.harness.figures import ALL_FIGURES
-
     return suite_names() + scenario_names() + sorted(ALL_FIGURES)

@@ -193,13 +193,12 @@ class ScenarioSpec:
     name: str
     description: str = ""
     peers: int = 30
-    protocols: str = "pepper"  # pepper | naive | base (keep base_config's flags)
+    protocols: str = "pepper"  # pepper | naive
     seed: int = 0
     latency: LatencySpec = LatencySpec()
     maintenance: MaintenanceSpec = MaintenanceSpec()
     phases: Tuple[PhaseSpec, ...] = ()  # the lifecycle; must be non-empty
     config: Mapping = field(default_factory=dict)  # IndexConfig field overrides
-    base_config: Optional[IndexConfig] = None  # full config object (figures use this)
     # Transport selection: in-sim (default) or real asyncio sockets; see
     # :class:`TransportSpec`.
     transport: TransportSpec = TransportSpec()
@@ -218,10 +217,7 @@ class ScenarioSpec:
     def index_config(self, seed: Optional[int] = None) -> IndexConfig:
         """Resolve the spec into a validated :class:`IndexConfig`."""
         seed = self.seed if seed is None else seed
-        if self.base_config is not None:
-            config = self.base_config.copy(seed=seed, **dict(self.config))
-        else:
-            config = default_config(seed=seed, **dict(self.config))
+        config = default_config(seed=seed, **dict(self.config))
         latency_model = self.latency.build_model()
         if latency_model is not None:
             config = config.copy(
@@ -237,7 +233,7 @@ class ScenarioSpec:
             config = config.with_pepper_protocols()
         elif self.protocols == "naive":
             config = config.with_naive_protocols()
-        elif self.protocols != "base":
+        else:
             raise ValueError(f"unknown protocol selection {self.protocols!r}")
         config.validate()
         return config
@@ -422,69 +418,46 @@ def run_spec(
     started = time.perf_counter()
     phases = spec.resolved_phases()
     plan = None if snapshot_dir is None else _snapshot_plan(spec, seed, phases, snapshot_dir)
-    if plan is None:
-        experiment = build_experiment(spec, seed)
-        try:
-            results, outcomes, victims = experiment.run_phases(phases, total_peers=spec.peers)
-            return _finalize_result(experiment, spec, seed, started, results, outcomes, victims)
-        finally:
-            # Release transport resources (asyncio sockets and loops; a no-op
-            # for the simulated transport) even when a phase raises.
-            experiment.index.shutdown()
-
-    pre, post = phases[: plan.boundary + 1], phases[plan.boundary + 1 :]
-
-    if resume_ok:
+    split = len(phases) if plan is None else plan.boundary + 1
+    state = None
+    if plan is not None and resume_ok:
         state = load_snapshot(plan.path, plan.key, seed)
-        if state is not None:
-            try:
-                experiment = restore_world(spec, seed, state)
-            except SnapshotRestoreError:
-                # The world the spec builds no longer matches the snapshot
-                # (e.g. the loop inventory changed under the same hash);
-                # rebuild cold below, which also rewrites the file.
-                pass
-            else:
-                try:
-                    pre_results, pre_outcomes, pre_victims = harness_results(state)
-                    results, outcomes, victims = experiment.run_phases(
-                        post, total_peers=spec.peers
-                    )
-                    return _finalize_result(
-                        experiment,
-                        spec,
-                        seed,
-                        started,
-                        pre_results + results,
-                        pre_outcomes + outcomes,
-                        pre_victims + victims,
-                        warm_start=True,
-                    )
-                finally:
-                    experiment.index.shutdown()
-
-    # Cold run with capture: play the pre-boundary phases, step to a parked
-    # instant (a no-save fallback if none is reached in bound -- a capture
-    # miss costs future warm starts, never correctness), save, continue.
-    experiment = build_experiment(spec, seed)
+    experiment = None
+    if state is not None:
+        try:
+            experiment = restore_world(spec, seed, state)
+        except SnapshotRestoreError:
+            # The world the spec builds no longer matches the snapshot (e.g.
+            # the loop inventory changed under the same hash); run cold below,
+            # which also rewrites the file.
+            state = None
+    if experiment is None:
+        experiment = build_experiment(spec, seed)
     try:
-        pre_results, pre_outcomes, pre_victims = experiment.run_phases(
-            pre, total_peers=spec.peers
-        )
-        if reach_parked_state(experiment):
-            state = capture_world(experiment, pre_results, pre_outcomes, pre_victims)
-            save_snapshot(plan.path, plan.key, seed, state)
-        results, outcomes, victims = experiment.run_phases(post, total_peers=spec.peers)
+        if state is not None:
+            pre = harness_results(state)
+        else:
+            pre = experiment.run_phases(phases[:split], total_peers=spec.peers)
+            # Capture at a parked instant (a no-save fallback if none is
+            # reached in bound -- a capture miss costs future warm starts,
+            # never correctness).
+            if plan is not None and reach_parked_state(experiment):
+                save_snapshot(plan.path, plan.key, seed, capture_world(experiment, *pre))
+        post = experiment.run_phases(phases[split:], total_peers=spec.peers)
+        results, outcomes, victims = (done + more for done, more in zip(pre, post))
         return _finalize_result(
             experiment,
             spec,
             seed,
             started,
-            pre_results + results,
-            pre_outcomes + outcomes,
-            pre_victims + victims,
+            results,
+            outcomes,
+            victims,
+            warm_start=state is not None,
         )
     finally:
+        # Release transport resources (asyncio sockets and loops; a no-op for
+        # the simulated transport) even when a phase raises.
         experiment.index.shutdown()
 
 

@@ -295,54 +295,6 @@ def test_phase_wall_and_sim_spans_are_positive_and_ordered():
         )
 
 
-def test_phase_schedule_plays_an_arbitrary_churn_trace():
-    """``PhaseSpec.schedule`` injects a bespoke join/failure trace verbatim."""
-    from repro.workloads.churn import FAIL, JOIN, ChurnEvent, ChurnSchedule
-
-    trace = ChurnSchedule(
-        [ChurnEvent(0.5 + i * 1.0, JOIN) for i in range(5)] + [ChurnEvent(12.0, FAIL)]
-    )
-    spec = TINY.with_(
-        phases=(
-            PhaseSpec(
-                name="build",
-                schedule=trace,
-                workload=WorkloadSpec(items=40, insert_rate=4.0),
-                settle=10.0,
-            ),
-        )
-    )
-    result = run_spec(spec, seed=4)
-    build = result.phases[0]
-    # All five scheduled joins played and the scheduled failure killed one:
-    # bootstrap + 5 arrivals - 1 failure remain live (ring members or free).
-    assert result.ring_members + result.free_peers == 5
-    # The derived active window covered the whole trace (last event at 12 s).
-    assert build["sim_seconds"] >= 12.0 + 10.0
-
-
-def test_phase_schedule_merges_with_staggered_arrivals():
-    """A bespoke schedule composes with the declarative arrival stream."""
-    from repro.workloads.churn import JOIN, ChurnEvent, ChurnSchedule
-
-    trace = ChurnSchedule([ChurnEvent(2.0, JOIN), ChurnEvent(4.0, JOIN)])
-    spec = TINY.with_(
-        phases=(
-            PhaseSpec(
-                name="build",
-                arrivals=3,
-                arrival_period=1.0,
-                schedule=trace,
-                workload=WorkloadSpec(items=40, insert_rate=4.0),
-                settle=10.0,
-            ),
-        )
-    )
-    result = run_spec(spec, seed=5)
-    # 1 bootstrap + 3 staggered arrivals + 2 scheduled joins, nobody fails.
-    assert result.ring_members + result.free_peers == 6
-
-
 def test_run_phases_on_experiment_returns_outcomes_and_victims():
     spec = TINY.with_(
         peers=10,

@@ -15,7 +15,7 @@ def cluster():
     return build_cluster(seed=71, peers=9)
 
 
-def expected_keys(keys, lb, ub):
+def keys_in(keys, lb, ub):
     return sorted(k for k in keys if lb < k <= ub)
 
 
@@ -24,7 +24,7 @@ def test_scan_query_returns_exactly_matching_items(cluster):
     lb, ub = keys[5], keys[30]
     result = index.range_query_now(lb, ub)
     assert result["complete"]
-    assert result["keys"] == expected_keys(keys, lb, ub)
+    assert result["keys"] == keys_in(keys, lb, ub)
 
 
 def test_scan_query_lower_bound_is_exclusive_upper_inclusive(cluster):
@@ -71,7 +71,7 @@ def test_naive_query_on_stable_system_is_also_correct(cluster):
     peer = index.ring_members()[0]
     lb, ub = keys[5], keys[25]
     result = index.run_process(peer.queries.query(lb, ub, strategy="naive"))
-    assert sorted(result["keys"]) == expected_keys(keys, lb, ub)
+    assert sorted(result["keys"]) == keys_in(keys, lb, ub)
 
 
 def test_scan_and_naive_report_similar_hops(cluster):
@@ -145,4 +145,4 @@ def test_scan_query_survives_peer_failure_mid_stream():
     index.run(30.0)  # allow failure detection and replica revival
     result = index.range_query_now(keys[0], keys[-1])
     assert result["complete"]
-    assert set(result["keys"]) == set(expected_keys(keys, keys[0], keys[-1]))
+    assert set(result["keys"]) == set(keys_in(keys, keys[0], keys[-1]))

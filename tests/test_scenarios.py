@@ -334,11 +334,15 @@ def test_run_named_figure_honours_seeds_and_offsets(monkeypatch):
     payload = run_named("fake_figure", seeds=[0, 2], processes=1, out_dir=None)
     # Offsets are applied on top of the figure's default seed.
     assert calls == [7, 9]
-    assert payload["seeds"] == [7, 9]
+    assert payload["seeds"] == [0, 2]
+    assert [cell["seed"] for cell in payload["results"]] == [7, 9]
     assert [cell["seed_offset"] for cell in payload["results"]] == [0, 2]
     # Matching rows are averaged across the seed runs.
-    assert payload["aggregates"]["rows"] == [[1, 8.0]]
-    assert payload["summary"]["figure_runs"] == 2
+    aggregate = payload["aggregates"]["fake_figure"]
+    assert aggregate["seeds"] == [7, 9]
+    assert aggregate["headers"] == ["x", "y"]
+    assert aggregate["rows"] == [[1, 8.0]]
+    assert payload["summary"]["cells"] == 2
 
 
 def test_run_named_figure_single_seed_keeps_historical_shape(monkeypatch):
@@ -353,8 +357,56 @@ def test_run_named_figure_single_seed_keeps_historical_shape(monkeypatch):
     monkeypatch.setitem(figures.ALL_FIGURES, "fake_figure", fake_figure)
     payload = run_named("fake_figure", out_dir=None)
     assert calls == [19]  # seeds=[0] resolves to the figure's own default seed
-    assert len(payload["results"]) == 1
-    assert "aggregates" not in payload
+    [cell] = payload["results"]
+    assert (cell["scenario"], cell["seed"], cell["rows"]) == ("fake_figure", 19, [[1]])
+    assert payload["aggregates"]["fake_figure"]["rows"] == [[1]]
+
+
+class _OneShot:
+    """Stands in for pytest-benchmark's fixture: runs the target once."""
+
+    @staticmethod
+    def pedantic(target, rounds, iterations):
+        return target()
+
+
+def test_figures_scenarios_and_benchmarks_share_one_envelope(tmp_path):
+    from benchmarks.conftest import run_figure
+
+    run_named("figure_21", seeds=[0, 1], processes=1, out_dir=str(tmp_path / "figure"))
+    run_named("smoke", seeds=[0], out_dir=str(tmp_path / "scenario"))
+    run_figure(
+        _OneShot,
+        "figure_21",
+        bench_dir=str(tmp_path / "benchmark"),
+        hop_targets=(1, 2),
+        peers=9,
+        items=55,
+        queries_per_target=1,
+    )
+    figure, scenario, benchmark = (
+        json.loads((tmp_path / kind / f"BENCH_{name}.json").read_text())
+        for kind, name in (
+            ("figure", "figure_21"),
+            ("scenario", "smoke"),
+            ("benchmark", "figure_21"),
+        )
+    )
+    envelope = ["bench", "environment", "summary", "seeds", "aggregates", "results"]
+    for document in (figure, scenario, benchmark):
+        assert list(document) == envelope
+        assert all({"scenario", "seed"} <= set(cell) for cell in document["results"])
+    for document in (figure, benchmark):
+        aggregate = document["aggregates"]["figure_21"]
+        assert aggregate["headers"] == document["results"][0]["headers"]
+        assert aggregate["rows"]
+        # A figure counts no events or RPCs, so its summary never claims any.
+        assert not {key for key in document["summary"] if "events" in key}
+        assert "rpc_per_method_mean" not in aggregate
+    assert figure["seeds"] == [0, 1]
+    assert [cell["seed"] for cell in figure["results"]] == [21, 22]
+    assert benchmark["results"][0]["parameters"]["peers"] == 9
+    assert "total_events_processed" in scenario["summary"]
 
 
 # --------------------------------------------------------------------------- CLI seed parsing

@@ -11,7 +11,7 @@ def cluster():
     return build_cluster(seed=81, peers=9)
 
 
-def expected_keys(keys, lb, ub):
+def keys_in(keys, lb, ub):
     return sorted(k for k in keys if lb < k <= ub)
 
 
@@ -25,7 +25,7 @@ def test_all_routing_policies_return_identical_results(cluster):
         }
         for routing, result in results.items():
             assert result["complete"], routing
-            assert result["keys"] == expected_keys(keys, lb, ub), routing
+            assert result["keys"] == keys_in(keys, lb, ub), routing
             assert result["routing"] == routing
 
 
@@ -217,7 +217,7 @@ def test_replica_failure_mid_query_falls_back_and_stays_correct():
     assert replica is not None
     lo, hi, full = owner.store.range.as_tuple()
     assert not full
-    want = expected_keys(keys, lo, hi)
+    want = keys_in(keys, lo, hi)
     assert want, "owner must hold workload keys"
 
     def fail_replica_mid_query():

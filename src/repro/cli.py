@@ -4,7 +4,7 @@ Examples::
 
     repro-run --list                 # everything runnable, with descriptions
     repro-run smoke                  # one scenario cell, writes BENCH_smoke.json
-    repro-run scale_sweep            # 100..5000-peer suite -> BENCH_scale.json
+    repro-run scale_sweep            # 100..1000-peer suite -> BENCH_scale.json
     repro-run figure_19              # a paper-figure reproduction
     repro-run churn_heavy --seeds 0,1,2 --processes 3
     repro-run scale_sweep --seeds 0..4   # 5 seeds/cell; BENCH carries mean/p95
@@ -68,7 +68,7 @@ def _print_listing() -> None:
     print(f"  {'name':24s} {'peers':>5s}  {'transport':9s} description")
     for name in scenario_names():
         spec = get_scenario(name)
-        transport = spec.transport.resolve() or "sim"
+        transport = spec.config.get("transport", "sim")
         print(
             f"  {name:24s} {spec.peers:5d}  {transport:9s} "
             f"{spec.description}"
@@ -103,8 +103,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--transport",
         choices=("sim", "asyncio"),
         default=None,
-        help="override the transport of every cell: 'sim' (discrete-event) or "
-        "'asyncio' (real UDP sockets on localhost, wall-clock time)",
+        help="set the transport config field of every cell: 'sim' (discrete-event) "
+        "or 'asyncio' (real UDP sockets on localhost, wall-clock time)",
     )
     parser.add_argument(
         "--profile",

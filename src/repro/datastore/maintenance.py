@@ -58,6 +58,8 @@ class FreePeerPool(Endpoint):
     def __init__(self, sim, network, address: str = "pool"):
         super().__init__(sim, network, address)
         self._free: List[str] = []
+        self.register_handler("pool_acquire", self._handle_acquire)
+        self.register_handler("pool_release", self._handle_release)
 
     def add(self, address: str) -> None:
         """Register a free peer (done by the cluster facade on peer arrival)."""
@@ -68,13 +70,13 @@ class FreePeerPool(Endpoint):
         """Number of free peers currently available."""
         return len(self._free)
 
-    def rpc_pool_acquire(self, payload, request):
+    def _handle_acquire(self, payload, request):
         """RPC: hand out one free peer (or none)."""
         if not self._free:
             return {"address": None}
         return {"address": self._free.pop(0)}
 
-    def rpc_pool_release(self, payload, request):
+    def _handle_release(self, payload, request):
         """RPC: a peer merged away and is free again."""
         self.add(payload["address"])
         return {"ok": True}

@@ -37,7 +37,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.harness.figures import ALL_FIGURES
 from repro.harness.metrics import nearest_rank
 from repro.harness.scenarios import (
-    TransportSpec,
     get_scenario,
     get_suite,
     run_spec,
@@ -56,7 +55,7 @@ def run_cell(
     warm_start]]])`` cell.
 
     Top-level for picklability.  The optional third element overrides the
-    spec's transport ("sim" or "asyncio"); the optional fourth points at a
+    spec's ``transport`` config field ("sim" or "asyncio"); the optional fourth points at a
     snapshot cache directory (enabling capture + warm start, see
     :func:`repro.harness.scenarios.run_spec`); the optional fifth overrides
     the spec's ``warm_start`` flag.  ``None`` keeps the spec's own selection
@@ -71,7 +70,7 @@ def run_cell(
     warm_start = cell[4] if len(cell) > 4 else None
     spec = get_scenario(name)
     if transport is not None:
-        spec = spec.with_(transport=TransportSpec(name=transport))
+        spec = spec.with_(config={**spec.config, "transport": transport})
     return run_spec(
         spec, seed=seed, snapshot_dir=snapshot_dir, warm_start=warm_start
     ).as_dict()

@@ -4,12 +4,11 @@ The paper's evaluation runs a single 30-peer LAN deployment; everything the
 harness measured was hard-wired to that shape.  A :class:`ScenarioSpec`
 instead *describes* a deployment -- size and arrival schedule, churn (steady
 failure rate, flash crowds, correlated rack outages), item workload (count,
-rate, key distribution), query mix, protocol selection, network conditions
-(:class:`LatencySpec`, resolved through
-:func:`repro.sim.network.latency_model_from_params`), maintenance adaptivity
-(:class:`MaintenanceSpec`, resolved through
-:func:`repro.maintenance.policy.maintenance_policy_from_params`) and index
-configuration -- and the driver executes any spec through the same code path.
+rate, key distribution), query mix, protocol selection and deployment
+settings -- and the driver executes any spec through the same code path.
+Every deployment setting, network conditions, maintenance adaptivity and the
+transport included, is an :class:`~repro.index.config.IndexConfig` field set
+through the spec's ``config`` overrides.
 
 Scenarios are registered by name in a process-global registry, so experiments
 become one-liners::
@@ -26,7 +25,6 @@ at the bottom of this module for templates.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -44,12 +42,11 @@ from repro.harness.phases import (
     validate_phases,
 )
 from repro.index.config import IndexConfig, default_config
-from repro.maintenance.policy import MaintenancePolicy, maintenance_policy_from_params
 from repro.sim.network import (
     CROSS_SITE_LATENCY_METRIC,
     INTRA_SITE_LATENCY_METRIC,
-    LatencyModel,
-    latency_model_from_params,
+    LanWanLatency,
+    NetworkConfig,
 )
 from repro.snapshot import (
     SnapshotRestoreError,
@@ -62,12 +59,9 @@ from repro.snapshot import (
     save_snapshot,
     snapshot_path,
 )
-from repro.transport.api import TRANSPORT_ENV_VAR, TRANSPORT_NAMES
 
 __all__ = [
     "ChurnSpec",
-    "LatencySpec",
-    "MaintenanceSpec",
     "PhaseResult",
     "PhaseSpec",
     "QueryMixSpec",
@@ -75,7 +69,6 @@ __all__ = [
     "ScenarioSpec",
     "ScenarioSuite",
     "ServeSpec",
-    "TransportSpec",
     "WorkloadSpec",
     "build_experiment",
     "get_scenario",
@@ -95,91 +88,6 @@ __all__ = [
 # :mod:`repro.harness.phases` (the executor needs them too) and are
 # re-exported here, their historical home.
 @dataclass(frozen=True)
-class LatencySpec:
-    """The network conditions of a scenario.
-
-    ``model`` names a registered latency model (``constant`` / ``uniform`` /
-    ``lan_wan``); ``None`` keeps whatever the resolved :class:`IndexConfig`
-    already carries (the paper's LAN bounds by default).  ``params`` are flat
-    keyword arguments for the model -- ``lan_wan`` takes ``sites`` plus the
-    flattened ``lan_low``/``lan_high``/``wan_low``/``wan_high`` bounds (see
-    :func:`repro.sim.network.latency_model_from_params`).
-    """
-
-    model: Optional[str] = None
-    params: Mapping = field(default_factory=dict)
-
-    def build_model(self) -> Optional[LatencyModel]:
-        """Instantiate (and validate) the configured model, or ``None``."""
-        if self.model is None:
-            return None
-        return latency_model_from_params(self.model, **dict(self.params))
-
-
-@dataclass(frozen=True)
-class MaintenanceSpec:
-    """The maintenance-adaptivity policy of a scenario (mirrors :class:`LatencySpec`).
-
-    ``policy`` names a registered maintenance preset (``fixed`` /
-    ``adaptive``); ``None`` keeps whatever the resolved
-    :class:`~repro.index.config.IndexConfig` already carries (the historical
-    fixed timers by default).  ``params`` are flat keyword overrides for
-    individual :class:`~repro.maintenance.policy.MaintenancePolicy` fields --
-    e.g. ``{"redirect_cache_size": 0}`` runs adaptive cadences without the
-    join-redirect cache, which is how single mechanisms are ablated.
-    """
-
-    policy: Optional[str] = None
-    params: Mapping = field(default_factory=dict)
-
-    def build_policy(self) -> Optional[MaintenancePolicy]:
-        """Instantiate (and validate) the configured policy, or ``None``."""
-        if self.policy is None:
-            return None
-        return maintenance_policy_from_params(self.policy, **dict(self.params))
-
-
-@dataclass(frozen=True)
-class TransportSpec:
-    """The execution substrate of a scenario (mirrors :class:`LatencySpec`).
-
-    ``name`` selects a registered transport:
-
-    * ``"sim"`` -- the seeded discrete-event simulator (deterministic;
-      latency/loss come from the spec's :class:`LatencySpec`);
-    * ``"asyncio"`` -- real UDP sockets on localhost with wall-clock periods
-      (latency comes from the real loopback path; one wall second per
-      scenario second).
-
-    ``None`` keeps whatever the resolved
-    :class:`~repro.index.config.IndexConfig` already carries (``"sim"`` by
-    default).  The ``REPRO_TRANSPORT`` environment variable and ``repro-run
-    --transport`` override the spec's choice for a whole process.
-
-    >>> TransportSpec().resolve() is None
-    True
-    >>> TransportSpec(name="asyncio").resolve()
-    'asyncio'
-    >>> TransportSpec(name="carrier-pigeon").resolve()
-    Traceback (most recent call last):
-        ...
-    ValueError: unknown transport 'carrier-pigeon'; known: sim, asyncio
-    """
-
-    name: Optional[str] = None
-
-    def resolve(self) -> Optional[str]:
-        """Validate and return the selected transport name, or ``None``."""
-        if self.name is None:
-            return None
-        if self.name not in TRANSPORT_NAMES:
-            raise ValueError(
-                f"unknown transport {self.name!r}; known: {', '.join(TRANSPORT_NAMES)}"
-            )
-        return self.name
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     """A complete, named description of one experiment cell.
 
@@ -187,7 +95,10 @@ class ScenarioSpec:
     :class:`~repro.harness.phases.PhaseSpec` -- at least one phase, played in
     order by :meth:`ClusterExperiment.run_phases`.  ``peers`` is the
     deployment's peer total: the reference for membership-fraction start
-    conditions and the ``peers_requested`` figure.
+    conditions and the ``peers_requested`` figure.  ``config`` overrides
+    :class:`~repro.index.config.IndexConfig` fields, the one spelling of
+    every deployment setting (e.g. ``{"adaptive_maintenance": True}``,
+    ``{"transport": "asyncio"}`` or ``{"network": NetworkConfig(...)}``).
     """
 
     name: str
@@ -195,13 +106,8 @@ class ScenarioSpec:
     peers: int = 30
     protocols: str = "pepper"  # pepper | naive
     seed: int = 0
-    latency: LatencySpec = LatencySpec()
-    maintenance: MaintenanceSpec = MaintenanceSpec()
     phases: Tuple[PhaseSpec, ...] = ()  # the lifecycle; must be non-empty
     config: Mapping = field(default_factory=dict)  # IndexConfig field overrides
-    # Transport selection: in-sim (default) or real asyncio sockets; see
-    # :class:`TransportSpec`.
-    transport: TransportSpec = TransportSpec()
     # Whether :func:`run_spec` may *resume* from an existing snapshot when a
     # snapshot directory is supplied (capture always happens so later runs can
     # warm-start).  A pure runner knob: it never changes what a run computes
@@ -218,17 +124,6 @@ class ScenarioSpec:
         """Resolve the spec into a validated :class:`IndexConfig`."""
         seed = self.seed if seed is None else seed
         config = default_config(seed=seed, **dict(self.config))
-        latency_model = self.latency.build_model()
-        if latency_model is not None:
-            config = config.copy(
-                network=replace(config.network, latency_model=latency_model)
-            )
-        maintenance_policy = self.maintenance.build_policy()
-        if maintenance_policy is not None:
-            config = config.copy(maintenance=maintenance_policy)
-        transport_name = self.transport.resolve()
-        if transport_name is not None:
-            config = config.copy(transport=transport_name)
         if self.protocols == "pepper":
             config = config.with_pepper_protocols()
         elif self.protocols == "naive":
@@ -379,9 +274,7 @@ def _snapshot_plan(
     boundary = snapshot_boundary(phases)
     if boundary is None:
         return None
-    config = spec.index_config(seed)
-    transport_name = os.environ.get(TRANSPORT_ENV_VAR) or config.transport
-    if transport_name != "sim":
+    if spec.index_config(seed).transport != "sim":
         return None
     key = build_hash(spec, phases[: boundary + 1])
     return _SnapshotPlan(
@@ -763,19 +656,16 @@ register(_scale_spec("scale_5000", 5000, "5000-peer deployment with churn"))
 # validations succeed (plus per-entry freshness: recently confirmed successors
 # are not re-pinged), router-refresh cadence that backs off while table walks
 # run clean, and RTT-seeded stabilization/replication periods.  The fixed cell
-# and its ``_adaptive`` twin differ in exactly one spec field, so ``repro-run
-# adaptive_ablation`` is the fixed-vs-adaptive ablation and the per-method RPC
-# profiles in the BENCH envelope carry the ``ring_ping``/``route_table_entry``
-# deltas.
-ADAPTIVE_MAINTENANCE = MaintenanceSpec(policy="adaptive")
-
-
+# and its ``_adaptive`` twin differ in exactly one config field
+# (``adaptive_maintenance``), so ``repro-run adaptive_ablation`` is the
+# fixed-vs-adaptive ablation and the per-method RPC profiles in the BENCH
+# envelope carry the ``ring_ping``/``route_table_entry`` deltas.
 def _adaptive_variant(base_name: str) -> ScenarioSpec:
     base = get_scenario(base_name)
     return base.with_(
         name=f"{base_name}_adaptive",
         description=f"{base.description}, adaptive maintenance policy",
-        maintenance=ADAPTIVE_MAINTENANCE,
+        config={**base.config, "adaptive_maintenance": True},
     )
 
 
@@ -798,7 +688,7 @@ register(
         name="scale_5000_rebalance",
         description="5000-peer adaptive cell with the global rebalancer harvesting FREE peers",
         config={
-            **dict(_scale_5000_adaptive.config),
+            **_scale_5000_adaptive.config,
             "rebalance_enabled": True,
             "rebalance_batch": 64,
         },
@@ -848,15 +738,15 @@ register_suite(
 # paper's sub-3 ms LAN.  Hop-count and maintenance-cost claims only matter if
 # they survive this regime (cf. Chord's WAN evaluation); the cells also feed
 # the per-site RPC counts and intra/cross-site latency histograms.
-WAN_LATENCY = LatencySpec(model="lan_wan", params={"sites": 4})
-
-
 def _wan_variant(base_name: str) -> ScenarioSpec:
     base = get_scenario(base_name)
     return base.with_(
         name=f"{base_name}_wan",
         description=f"{base.description}, 4-site LAN/WAN latency",
-        latency=WAN_LATENCY,
+        config={
+            **base.config,
+            "network": NetworkConfig(latency_model=LanWanLatency(sites=4)),
+        },
     )
 
 
@@ -876,11 +766,12 @@ register_suite(
 # replication run on round-trip-scaled periods instead of the LAN constants
 # (plus adaptive validation and redirect caching), which is the remedy for WAN
 # cells finishing with fewer members/items in the same simulated window.
+_scale_1000_wan = get_scenario("scale_1000_wan")
 register(
-    get_scenario("scale_1000_wan").with_(
+    _scale_1000_wan.with_(
         name="scale_1000_wan_adaptive",
         description="1000-peer WAN deployment, adaptive maintenance policy",
-        maintenance=ADAPTIVE_MAINTENANCE,
+        config={**_scale_1000_wan.config, "adaptive_maintenance": True},
     )
 )
 register_suite(
@@ -895,8 +786,8 @@ register_suite(
 # ---- localhost transport cells ----------------------------------------------
 # Real-network deployments: the same protocol code over asyncio UDP sockets on
 # 127.0.0.1, one wall-clock second per scenario second.  Each asyncio cell has
-# an in-sim twin differing in exactly the transport field, so the pair is the
-# sim-fidelity referee: run both, compare end states.
+# an in-sim twin differing in exactly the ``transport`` config field, so the
+# pair is the sim-fidelity referee: run both, compare end states.
 #
 # The cells are *saturating* by design -- the item count (12 per peer) exceeds
 # the deployment's overflow capacity (10 per peer), so the split cascade must
@@ -919,7 +810,7 @@ def _localhost_spec(
         name=name,
         description=description,
         peers=peers,
-        transport=TransportSpec(name=transport_name),
+        config={"transport": transport_name},
         phases=(
             PhaseSpec(
                 name="build",

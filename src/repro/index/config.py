@@ -11,9 +11,7 @@ by flipping the flags only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
-from repro.maintenance.policy import FIXED_MAINTENANCE, MaintenancePolicy
 from repro.sim.network import NetworkConfig
 from repro.transport.api import TRANSPORT_NAMES
 
@@ -71,18 +69,18 @@ class IndexConfig:
     proactive_nudge: bool = True  # Section 4.3.1 optimization: poke predecessors
 
     # --- Maintenance adaptivity ---------------------------------------------------
-    # ``None`` keeps the historical fixed-timer behaviour; scenario specs
-    # resolve a MaintenanceSpec into a validated policy here (exactly as a
-    # LatencySpec resolves into ``network.latency_model``).
-    maintenance: Optional[MaintenancePolicy] = None
+    # Off: every periodic protocol runs on its fixed timer above.  On: the
+    # validation and router loops back off, stabilization and replica refresh
+    # scale with the observed round trip, and joins are redirected from a
+    # member cache (see repro.maintenance.adaptive).
+    adaptive_maintenance: bool = False
 
     # --- Simulation substrate ---------------------------------------------------
     network: NetworkConfig = field(default_factory=NetworkConfig)
     seed: int = 0
     # Transport selection: "sim" (the discrete-event substrate above, the
     # default) or "asyncio" (real UDP sockets on localhost with wall-clock
-    # periods).  The REPRO_TRANSPORT environment variable overrides this
-    # field.
+    # periods).
     transport: str = "sim"
 
     # --- derived / helpers -------------------------------------------------------
@@ -95,11 +93,6 @@ class IndexConfig:
     def underflow_threshold(self) -> int:
         """A Data Store underflows when it holds fewer than ``sf`` items."""
         return self.storage_factor
-
-    @property
-    def maintenance_policy(self) -> MaintenancePolicy:
-        """The effective maintenance policy (the fixed one unless configured)."""
-        return self.maintenance if self.maintenance is not None else FIXED_MAINTENANCE
 
     @property
     def join_ack_timeout(self) -> float:
@@ -135,8 +128,6 @@ class IndexConfig:
             raise ValueError(
                 f"unknown transport {self.transport!r}; known: {', '.join(TRANSPORT_NAMES)}"
             )
-        if self.maintenance is not None:
-            self.maintenance.validate()
         self.network.validate()
 
     def with_naive_protocols(self) -> "IndexConfig":

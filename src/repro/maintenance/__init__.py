@@ -3,11 +3,10 @@
 Layer contract
 --------------
 This package sits *below* the protocol layers: it depends only on the standard
-library, so :mod:`repro.index.config` can carry a resolved
-:class:`MaintenancePolicy` and :mod:`repro.ring` / :mod:`repro.replication`
-can drive their periodic loops through the controllers without import cycles.
-Neighbors may import everything exported here; nothing in this package may
-import from any other ``repro`` package.
+library, so :mod:`repro.ring`, :mod:`repro.replication` and
+:mod:`repro.router` can drive their periodic loops through the controllers
+without import cycles.  Neighbors may import everything exported here;
+nothing in this package may import from any other ``repro`` package.
 
 What lives here:
 
@@ -17,9 +16,9 @@ What lives here:
   periods).
 * :mod:`~repro.maintenance.redirect_cache` -- the server-side join-redirect
   cache (:class:`RedirectCache`).
-* :mod:`~repro.maintenance.policy` -- :class:`MaintenancePolicy`, the named
-  presets, and :func:`maintenance_policy_from_params` (the scenario-facing
-  factory, mirroring the latency-model factory).
+* :mod:`~repro.maintenance.adaptive` -- what the one
+  ``IndexConfig.adaptive_maintenance`` switch turns on, and the constants it
+  runs them with.
 """
 
 from repro.maintenance.cadence import (
@@ -29,24 +28,14 @@ from repro.maintenance.cadence import (
     RttScaledCadence,
     rtt_scaled_period,
 )
-from repro.maintenance.policy import (
-    FIXED_MAINTENANCE,
-    MAINTENANCE_POLICIES,
-    MaintenancePolicy,
-    maintenance_policy_from_params,
-)
 from repro.maintenance.redirect_cache import RedirectCache, backward_distance
 
 __all__ = [
     "AdaptiveCadence",
     "CadenceController",
-    "FIXED_MAINTENANCE",
     "FixedCadence",
-    "MAINTENANCE_POLICIES",
-    "MaintenancePolicy",
     "RedirectCache",
     "RttScaledCadence",
     "backward_distance",
-    "maintenance_policy_from_params",
     "rtt_scaled_period",
 ]

@@ -18,6 +18,7 @@ from typing import List
 from repro.datastore.items import ItemStore, items_from_wire, items_to_wire
 from repro.datastore.store import DataStore
 from repro.index.config import IndexConfig
+from repro.maintenance.adaptive import maintenance_interval
 from repro.replication.extra_hop import push_items_one_extra_hop
 from repro.ring.chord import ChordRing, RingListener
 from repro.transport import Endpoint
@@ -67,13 +68,15 @@ class ReplicationManager(RingListener):
         node.register_handler("rep_store_replicas", self._handle_store_replicas)
         node.register_handler("rep_remove_replica", self._handle_remove_replica)
 
-        # The refresh cadence follows the maintenance policy: the fixed period
-        # by default, or an interval seeded from the network's observed round
-        # trip under ``cadence="rtt_scaled"`` (WAN deployments refresh more
-        # often so revives keep up with the slower failure-repair pipeline).
+        # The refresh cadence is the fixed period by default, or an interval
+        # seeded from the network's observed round trip under adaptive
+        # maintenance (WAN deployments refresh more often so revives keep up
+        # with the slower failure-repair pipeline).
         node.every(
-            config.maintenance_policy.maintenance_interval(
-                config.replication_refresh_period, node.network.observed_rtt
+            maintenance_interval(
+                config.adaptive_maintenance,
+                config.replication_refresh_period,
+                node.network.observed_rtt,
             ),
             self._refresh_once,
             jitter=config.stabilization_jitter,

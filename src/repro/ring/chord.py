@@ -19,6 +19,13 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.index.config import IndexConfig
+from repro.maintenance.adaptive import (
+    build_redirect_cache,
+    maintenance_interval,
+    passive_window,
+    validation_cadence,
+    validation_freshness,
+)
 from repro.maintenance.redirect_cache import backward_distance
 from repro.ring.entries import (
     FREE,
@@ -118,35 +125,31 @@ class ChordRing:
         self._stabilizing = False
         self._stabilize_pending = False
 
-        # Maintenance adaptivity (``config.maintenance``; the default policy
-        # reproduces the historical fixed timers).  The successor-validation
-        # controller paces that ``ring_ping`` loop -- backing off while
-        # validations succeed, tightening after a failure or membership
-        # change -- and the redirect cache answers stale-pointer joins from
-        # recently observed members instead of walking the ring one pointer
-        # at a time.  The predecessor check deliberately keeps its fixed
-        # cadence (its detection latency feeds replica revival); its traffic
-        # is cut by the *passive* suppression below instead: a predecessor
-        # that recently stabilized with us has proven itself alive, so the
-        # next ping within the window is redundant and skipped.
-        policy = config.maintenance_policy
-        self._succ_cadence = policy.validation_controller(config.stabilization_period)
-        self._redirect_cache = policy.build_redirect_cache()
-        self._passive_window = (
-            1.5 * config.predecessor_check_period if policy.validation == "adaptive" else None
-        )
+        # Maintenance adaptivity (``config.adaptive_maintenance``; off keeps
+        # the historical fixed timers).  The successor-validation controller
+        # paces that ``ring_ping`` loop -- backing off while validations
+        # succeed, tightening after a failure or membership change -- and the
+        # redirect cache answers stale-pointer joins from recently observed
+        # members instead of walking the ring one pointer at a time.  The
+        # predecessor check deliberately keeps its fixed cadence (its
+        # detection latency feeds replica revival); its traffic is cut by the
+        # *passive* suppression below instead: a predecessor that recently
+        # stabilized with us has proven itself alive, so the next ping within
+        # the window is redundant and skipped.
+        adaptive = config.adaptive_maintenance
+        self._succ_cadence = validation_cadence(adaptive, config.stabilization_period)
+        self._redirect_cache = build_redirect_cache(adaptive)
+        self._passive_window = passive_window(adaptive, config.predecessor_check_period)
         # Last time each peer stabilized with us, newest last (adaptive
-        # policy only; bounded -- see _note_heard_from).
+        # maintenance only; bounded -- see _note_heard_from).
         self._heard_from: dict = {}
         # Per-entry validation freshness: when each peer was last confirmed
         # alive first-hand (a ping reply, a stabilization round with it, or it
         # stabilizing with us).  Successor validation skips re-pinging entries
         # confirmed within the window instead of burning a ``ring_ping`` on a
-        # peer that just proved itself.  0 disables the skip entirely (the
-        # fixed policy's behaviour).
-        self._freshness_window = (
-            policy.validation_freshness(config.stabilization_period) or None
-        )
+        # peer that just proved itself.  ``None`` disables the skip entirely
+        # (the fixed timers' behaviour).
+        self._freshness_window = validation_freshness(adaptive, config.stabilization_period)
         self._confirmed_at: dict = {}
 
         node.register_handler("ring_stabilize", self._handle_stabilize)
@@ -205,7 +208,7 @@ class ChordRing:
     _HEARD_FROM_LIMIT = 8
 
     def _note_heard_from(self, address: str) -> None:
-        """Record that ``address`` just stabilized with us (adaptive policy only)."""
+        """Record that ``address`` just stabilized with us (adaptive maintenance only)."""
         self._note_confirmed(address)
         if self._passive_window is None:
             return
@@ -257,8 +260,8 @@ class ChordRing:
         Candidates are the JOINED entries of our successor list (first-hand,
         never stale by more than a stabilization round) plus the redirect
         cache (older observations from further around the ring).  Returns
-        ``(address, value)`` or ``None``.  Only meaningful when the policy
-        enables the redirect cache.
+        ``(address, value)`` or ``None``.  Only meaningful when adaptive
+        maintenance enables the redirect cache.
         """
         if self._redirect_cache is None:
             return None
@@ -329,8 +332,8 @@ class ChordRing:
 
         Data Store splits address the ring insert through this: the
         predecessor pointer by default, upgraded to the closest known
-        predecessor of ``value`` when the maintenance policy's redirect cache
-        is enabled (the bootstrap peer's self-pointer otherwise sends early
+        predecessor of ``value`` when adaptive maintenance enables the redirect
+        cache (the bootstrap peer's self-pointer otherwise sends early
         flash-crowd joiners on a walk around the entire ring).
         """
         default = self.pred_address or self.address
@@ -621,13 +624,14 @@ class ChordRing:
             return
         self._maintenance_started = True
         jitter = self.config.stabilization_jitter
-        policy = self.config.maintenance_policy
-        # Stabilization runs on the policy's maintenance cadence (a plain
-        # period, or RTT-scaled under ``cadence="rtt_scaled"``); the two
-        # ``ring_ping`` validation loops are paced by their controllers.
+        # Stabilization runs on a plain period, or an RTT-scaled one under
+        # adaptive maintenance; the two ``ring_ping`` validation loops are
+        # paced by their controllers.
         self.node.every(
-            policy.maintenance_interval(
-                self.config.stabilization_period, self.node.network.observed_rtt
+            maintenance_interval(
+                self.config.adaptive_maintenance,
+                self.config.stabilization_period,
+                self.node.network.observed_rtt,
             ),
             self._stabilize_once,
             jitter=jitter,

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.index.config import IndexConfig
+from repro.maintenance.adaptive import router_cadence
 from repro.ring.chord import RingListener
 from repro.router.linear import LinearRouter
 from repro.transport import RpcError
@@ -56,12 +57,13 @@ class HierarchicalRingRouter(LinearRouter):
         super().__init__(node, ring, store, config, metrics=metrics, history=history)
         # table[i] = (address, value) of the peer ~2**i positions clockwise.
         self.table: List[Tuple[str, float]] = []
-        # Refresh cadence (``config.maintenance``; fixed by default).  Under
-        # the adaptive policy the loop backs off while consecutive refreshes
-        # validate clean -- same pointers, no RPC errors -- and tightens the
-        # moment the table changes or the ring reports a neighbourhood change.
-        self._cadence = config.maintenance_policy.router_controller(
-            config.router_refresh_period
+        # Refresh cadence (fixed unless ``config.adaptive_maintenance``).
+        # Under adaptive maintenance the loop backs off while consecutive
+        # refreshes validate clean -- same pointers, no RPC errors -- and
+        # tightens the moment the table changes or the ring reports a
+        # neighbourhood change.
+        self._cadence = router_cadence(
+            config.adaptive_maintenance, config.router_refresh_period
         )
         ring.add_listener(_RefreshTightener(self._cadence))
         node.register_handler("route_table_entry", self._handle_table_entry)

@@ -4,7 +4,7 @@ Peers in the paper communicate over a LAN with "known bounded delay"
 (Section 2.1).  The :class:`Network` models that channel:
 
 * every message experiences a latency drawn from a pluggable
-  :class:`LatencyModel` (constant, uniform, or LAN-vs-WAN two-tier);
+  :class:`LatencyModel` (uniform, or LAN-vs-WAN two-tier);
 * messages may be dropped with probability ``drop_probability``;
 * a request to a failed (or departed) peer is silently lost, so the caller
   observes an :class:`RpcTimeout` after ``rpc_timeout`` seconds -- this is how
@@ -13,11 +13,10 @@ Peers in the paper communicate over a LAN with "known bounded delay"
 The only communication primitive higher layers use is :meth:`Network.call`:
 request/response RPC addressed by peer address and handler name.
 
-Scenario specs select the model declaratively: a
-:class:`~repro.harness.scenarios.LatencySpec` (model name + flat JSON-able
-parameters) resolves through :func:`latency_model_from_params` into
-``NetworkConfig.latency_model``, so e.g. the 4-site ``lan_wan`` WAN cells are
-registry entries rather than bespoke network wiring.  The network also feeds
+Scenario specs select the model like any other deployment setting, through
+the ``network`` field of their ``IndexConfig`` overrides: the 4-site WAN
+cells set ``NetworkConfig(latency_model=LanWanLatency(sites=4))``, so they
+are registry entries rather than bespoke network wiring.  The network also feeds
 the adaptive maintenance subsystem: :meth:`Network.observed_rtt` reports the
 mean measured round trip (seeded from the model's nominal latency until real
 samples exist), which the RTT-scaled cadence controllers in
@@ -32,9 +31,9 @@ Scalability notes
   cancellation those dead timers dominate the event queue of large
   deployments.  A cancel tombstones the heap entry.
 * Messages due at exactly the same instant are *batched*: one engine entry
-  drains the whole batch.  With a constant-latency model every message sent
-  within one action shares a delivery slot, so a replication fan-out to ``k``
-  successors costs one queue operation instead of ``k``.
+  drains the whole batch.  Only a degenerate model such as
+  ``UniformLatency(x, x)`` lands many messages on one instant; under the
+  default LAN and WAN models a batch is nearly always a single message.
 * :meth:`Network.cast` is a fire-and-forget fast path for messages nobody
   waits on (replication refreshes, delete propagation): no reply event, no
   expiry timer, no reply message.
@@ -81,23 +80,6 @@ class LatencyModel:
 
     def validate(self) -> None:
         """Raise ``ValueError`` for physically meaningless settings."""
-
-
-@dataclass(frozen=True)
-class ConstantLatency(LatencyModel):
-    """Every message takes exactly ``value`` seconds (fully batchable)."""
-
-    value: float = 0.001
-
-    def sample(self, rng, source: str, destination: str) -> float:
-        return self.value
-
-    def nominal_latency(self) -> float:
-        return self.value
-
-    def validate(self) -> None:
-        if self.value < 0:
-            raise ValueError("constant latency must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -154,47 +136,6 @@ class LanWanLatency(LatencyModel):
             raise ValueError("LanWanLatency needs at least one site")
         self.lan.validate()
         self.wan.validate()
-
-
-LATENCY_MODELS = {
-    "constant": ConstantLatency,
-    "uniform": UniformLatency,
-    "lan_wan": LanWanLatency,
-}
-
-
-def latency_model_from_params(name: str, **params) -> LatencyModel:
-    """Instantiate a registered latency model from flat keyword parameters.
-
-    Scenario specs describe the network as JSON-able mappings, so the nested
-    :class:`UniformLatency` objects of ``lan_wan`` cannot appear there
-    directly; this factory accepts the flattened ``lan_low`` / ``lan_high`` /
-    ``wan_low`` / ``wan_high`` bounds instead.  The returned model is
-    validated.
-    """
-    if name not in LATENCY_MODELS:
-        raise ValueError(
-            f"unknown latency model {name!r}; known: {', '.join(sorted(LATENCY_MODELS))}"
-        )
-    if name == "lan_wan":
-        defaults = LanWanLatency()
-        model: LatencyModel = LanWanLatency(
-            sites=params.pop("sites", defaults.sites),
-            lan=UniformLatency(
-                params.pop("lan_low", defaults.lan.low),
-                params.pop("lan_high", defaults.lan.high),
-            ),
-            wan=UniformLatency(
-                params.pop("wan_low", defaults.wan.low),
-                params.pop("wan_high", defaults.wan.high),
-            ),
-        )
-        if params:
-            raise ValueError(f"unknown lan_wan parameters: {', '.join(sorted(params))}")
-    else:
-        model = LATENCY_MODELS[name](**params)
-    model.validate()
-    return model
 
 
 @dataclass
@@ -267,7 +208,13 @@ class Network:
         self.metrics = metrics
         self.config = config or NetworkConfig()
         self.config.validate()
-        self.reconfigure()
+        self.latency_model = self.config.latency_model
+        # Site-aware instrumentation only exists under a two-tier model.
+        self._site_of: Optional[Callable[[str], int]] = (
+            self.latency_model.site_of
+            if isinstance(self.latency_model, LanWanLatency)
+            else None
+        )
         self.stats = NetworkStats()
         self._nodes: Dict[str, "Endpoint"] = {}
         self._next_request_id = 0
@@ -298,37 +245,8 @@ class Network:
         """Return the node registered at ``address``, if any."""
         return self._nodes.get(address)
 
-    def known_addresses(self) -> list[str]:
-        """Addresses of all registered nodes (dead or alive)."""
-        return list(self._nodes)
-
     # -- latency model -----------------------------------------------------
-    def reconfigure(self) -> None:
-        """Re-resolve the latency model after mutating ``config`` mid-run.
-
-        ``drop_probability`` and ``rpc_timeout`` are read live on every call;
-        the latency model (and its constant-value fast path) is resolved here
-        once, so experiments that switch latency regimes mid-run must call
-        this after replacing ``config.latency_model``.
-        """
-        self.latency_model = self.config.latency_model
-        # Fast path: a constant model needs no rng and no per-message dispatch.
-        self._fixed_latency: Optional[float] = (
-            self.latency_model.value
-            if isinstance(self.latency_model, ConstantLatency)
-            else None
-        )
-        # Site-aware instrumentation only exists under a two-tier model.
-        self._site_of: Optional[Callable[[str], int]] = (
-            self.latency_model.site_of
-            if isinstance(self.latency_model, LanWanLatency)
-            else None
-        )
-
     def _latency(self, source: str, destination: str) -> float:
-        fixed = self._fixed_latency
-        if fixed is not None:
-            return fixed
         latency = self.latency_model.sample(self.rng, source, destination)
         stats = self.stats
         stats.latency_sum += latency

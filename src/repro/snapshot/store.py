@@ -11,8 +11,7 @@ A snapshot file is gzipped JSON::
 
 The **build hash** digests everything that shapes the world *up to the capture
 boundary*: the spec with its identity knobs normalised out (the seed lives in
-the filename/envelope instead; only the sim transport snapshots;
-``warm_start`` is a pure runner knob), the pre-boundary phase list, the peer
+the filename/envelope instead; ``warm_start`` is a pure runner knob), the pre-boundary phase list, the peer
 total and the format version.  Editing a spec -- a period, a workload, a config override -- changes
 the repr, hence the hash, hence the filename: stale snapshots are never
 *loaded*, they are simply never looked up again (and a later cold run writes
@@ -44,9 +43,9 @@ SNAPSHOT_SUFFIX = ".snap.gz"
 
 
 #: Spec fields that do not shape the pre-boundary world: the seed lives in the
-#: filename, only the sim transport snapshots, ``warm_start`` is a runner knob
-#: and the phase list is hashed as its pre-boundary prefix instead.
-_UNHASHED_FIELDS = ("seed", "transport", "warm_start", "phases")
+#: filename, ``warm_start`` is a runner knob and the phase list is hashed as
+#: its pre-boundary prefix instead.
+_UNHASHED_FIELDS = ("seed", "warm_start", "phases")
 
 
 def build_hash(spec, pre_phases: Sequence) -> str:

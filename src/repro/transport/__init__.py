@@ -23,7 +23,6 @@ that.  The engine primitives (:class:`~repro.sim.engine.Event`,
 """
 
 from repro.transport.api import (
-    TRANSPORT_ENV_VAR,
     TRANSPORT_NAMES,
     NetworkStats,
     RpcError,
@@ -46,7 +45,6 @@ __all__ = [
     "RpcTimeout",
     "RpcUnreachable",
     "SimTransport",
-    "TRANSPORT_ENV_VAR",
     "TRANSPORT_NAMES",
     "Transport",
     "make_transport",

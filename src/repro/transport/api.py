@@ -61,9 +61,8 @@ substrates share, so protocol layers import them from here (or from
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 
 class RpcError(Exception):
@@ -109,20 +108,13 @@ class NetworkStats:
     per_method: Dict[str, int] = field(default_factory=dict)
     # RPCs per originating site (only populated under a LanWanLatency model).
     per_site_rpcs: Dict[str, int] = field(default_factory=dict)
-    # Running sum/count of sampled one-way latencies (not populated under the
-    # constant-latency fast path, where the latency is known without sampling).
+    # Running sum/count of sampled one-way latencies (feeds observed_rtt).
     latency_sum: float = 0.0
     latency_samples: int = 0
 
     def record_call(self, method: str) -> None:
         self.rpc_calls += 1
         self.per_method[method] = self.per_method.get(method, 0) + 1
-
-    def mean_latency(self) -> Optional[float]:
-        """Mean sampled one-way latency, or ``None`` before any sample."""
-        if self.latency_samples == 0:
-            return None
-        return self.latency_sum / self.latency_samples
 
 
 class Transport:
@@ -147,11 +139,6 @@ class Transport:
 
 
 # --------------------------------------------------------------------------- selection
-#: Environment knob forcing a transport for every deployment built through
-#: :func:`make_transport` (e.g. ``REPRO_TRANSPORT=sim`` runs a ``localhost_*``
-#: cell in-sim without touching the spec).
-TRANSPORT_ENV_VAR = "REPRO_TRANSPORT"
-
 #: The selectable transport implementations.  ``sim`` adapts the existing
 #: discrete-event :class:`~repro.sim.network.Network`/engine pair (bit-
 #: identical to the pre-transport stack); ``asyncio`` runs the same protocol
@@ -162,11 +149,9 @@ TRANSPORT_NAMES = ("sim", "asyncio")
 def make_transport(config, metrics=None) -> Transport:
     """Build the transport selected by ``config.transport``.
 
-    The :data:`TRANSPORT_ENV_VAR` environment variable, when set, overrides
-    the config field.
     Unknown names raise :class:`ValueError`.
     """
-    name = os.environ.get(TRANSPORT_ENV_VAR) or getattr(config, "transport", "sim")
+    name = config.transport
     if name == "sim":
         from repro.transport.sim_transport import SimTransport  # deferred: imports sim
 

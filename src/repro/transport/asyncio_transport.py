@@ -324,10 +324,6 @@ class AsyncioNetwork:
         """Return the node registered at ``address``, if any."""
         return self._nodes.get(address)
 
-    def known_addresses(self) -> list[str]:
-        """Addresses of all registered nodes (dead or alive)."""
-        return list(self._nodes)
-
     def _dropped(self) -> bool:
         prob = self.config.drop_probability
         return prob > 0 and self.rng.random() < prob

@@ -6,9 +6,10 @@ An :class:`Endpoint` owns:
 * a set of running :class:`~repro.sim.engine.Process` objects (RPC handlers,
   periodic maintenance loops) that are interrupted when the peer fails;
 * the RPC dispatch machinery: a request for method ``m`` is dispatched to the
-  instance method ``rpc_m(payload, request)``, which may either return a value
-  directly or be a generator (in which case it runs as a process and the reply
-  is sent when it finishes).
+  handler registered for ``m`` (:meth:`Endpoint.register_handler`), called as
+  ``handler(payload, request)``; it may either return a value directly or be
+  a generator (in which case it runs as a process and the reply is sent when
+  it finishes).
 
 The ring, data store, replication and index layers all subclass or compose
 endpoints; peer failure (`fail`), graceful departure (`depart`) and the
@@ -109,10 +110,9 @@ class Endpoint:
     def register_handler(self, method: str, handler: Callable[..., Any]) -> None:
         """Register ``handler`` for RPC ``method``.
 
-        Components composed into a peer (ring, data store, replication manager,
-        router) use this to expose their message handlers without subclassing
-        the endpoint.  A registered handler takes precedence over an
-        ``rpc_<method>`` instance method.
+        Every component composed into a peer (ring, data store, replication
+        manager, router) exposes its message handlers this way; a request for
+        an unregistered method fails with :class:`RpcRemoteError`.
         """
         self._handlers[method] = handler
 
@@ -246,8 +246,6 @@ class Endpoint:
         """
         handler = self._handlers.get(request.method)
         if handler is None:
-            handler = getattr(self, f"rpc_{request.method}", None)
-        if handler is None:
             return
         try:
             outcome = handler(request.payload, request)
@@ -263,8 +261,6 @@ class Endpoint:
     ) -> None:
         """Dispatch an incoming request to its handler and send the reply."""
         handler = self._handlers.get(request.method)
-        if handler is None:
-            handler = getattr(self, f"rpc_{request.method}", None)
         if handler is None:
             reply(None, RpcRemoteError(f"{self.address} has no handler for {request.method!r}"))
             return

@@ -12,15 +12,21 @@ Two claims are pinned down here:
 * **Traffic drops.**  On a deployment large enough to have settled phases,
   the adaptive policy issues measurably fewer ``ring_ping`` validation RPCs
   than the fixed policy while ending with an equally healthy ring.
+
+The smoke cell under adaptive maintenance and 4-site WAN latency also keeps
+a pinned event trace, so a change to any adaptive mechanism or constant shows
+up in tier-1.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro import PRingIndex, default_config
 from repro.harness.scenarios import get_scenario, run_spec
-from repro.maintenance import maintenance_policy_from_params
+from repro.sim.network import LanWanLatency, NetworkConfig
 from repro.transport.endpoint import Endpoint
 
 from tests.test_membership_invariants import assert_membership_consistent
@@ -29,9 +35,7 @@ CHURN_STEPS = 250
 
 
 def build_adaptive_index(seed: int, free_peers: int = 0) -> PRingIndex:
-    config = default_config(
-        seed=seed, maintenance=maintenance_policy_from_params("adaptive")
-    ).with_pepper_protocols()
+    config = default_config(seed=seed, adaptive_maintenance=True).with_pepper_protocols()
     index = PRingIndex(config)
     index.bootstrap()
     for _ in range(free_peers):
@@ -126,12 +130,90 @@ def test_adaptive_cells_registered():
         "scale_5000_adaptive",
     ):
         assert get_scenario(name) is not None
-    adaptive = get_scenario("scale_1000_adaptive")
-    assert adaptive.maintenance.policy == "adaptive"
-    assert get_scenario("scale_1000").maintenance.policy is None
-    wan = get_scenario("scale_1000_wan_adaptive")
-    assert wan.latency.model == "lan_wan"
-    assert wan.maintenance.policy == "adaptive"
+    assert get_scenario("scale_1000_adaptive").index_config().adaptive_maintenance
+    assert not get_scenario("scale_1000").index_config().adaptive_maintenance
+    wan = get_scenario("scale_1000_wan_adaptive").index_config()
+    assert wan.network.latency_model == LanWanLatency(sites=4)
+    assert wan.adaptive_maintenance
+
+
+# The smoke cell with every adaptive mechanism on under 4-site WAN latency:
+# validation back-off, freshness skips, router back-off and RTT scaling all
+# run here (the redirect cache is pinned by the forged join test below).
+# The figures pin which mechanisms the switch turns on and their constants:
+# changing either moves them.
+ADAPTIVE_WAN_SMOKE = {
+    0: {
+        "events_processed": 2488,
+        "rpc_calls": 531,
+        "messages_sent": 876,
+        "ring_ping_fresh_skip": 13,
+        "rpc_per_method": {
+            "ds_activate": 7,
+            "ds_probe": 11,
+            "ds_split_complete": 7,
+            "ds_store_item": 50,
+            "pool_acquire": 7,
+            "query_deliver": 7,
+            "rep_store_replicas": 185,
+            "ring_insert_successor": 7,
+            "ring_join": 7,
+            "ring_join_ack": 4,
+            "ring_joining_notice": 15,
+            "ring_nudge": 6,
+            "ring_ping": 56,
+            "ring_stabilize": 87,
+            "route_table_entry": 68,
+            "scan_begin": 5,
+            "scan_continue": 2,
+        },
+    },
+    1: {
+        "events_processed": 2463,
+        "rpc_calls": 524,
+        "messages_sent": 866,
+        "ring_ping_fresh_skip": 13,
+        "rpc_per_method": {
+            "ds_activate": 7,
+            "ds_probe": 10,
+            "ds_split_complete": 7,
+            "ds_store_item": 50,
+            "pool_acquire": 7,
+            "query_deliver": 5,
+            "rep_store_replicas": 181,
+            "ring_insert_successor": 7,
+            "ring_join": 7,
+            "ring_join_ack": 6,
+            "ring_joining_notice": 15,
+            "ring_nudge": 6,
+            "ring_ping": 54,
+            "ring_stabilize": 86,
+            "route_table_entry": 71,
+            "scan_begin": 5,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ADAPTIVE_WAN_SMOKE))
+def test_adaptive_wan_smoke_keeps_its_event_trace(seed):
+    smoke = get_scenario("smoke")
+    spec = smoke.with_(
+        config={
+            **smoke.config,
+            "adaptive_maintenance": True,
+            "network": NetworkConfig(latency_model=LanWanLatency(sites=4)),
+        }
+    )
+    result = run_spec(spec, seed=seed)
+    live = {
+        "events_processed": result.events_processed,
+        "rpc_calls": result.rpc_calls,
+        "messages_sent": result.messages_sent,
+        "ring_ping_fresh_skip": result.metrics["ring_ping_fresh_skip"]["count"],
+        "rpc_per_method": result.rpc_per_method,
+    }
+    assert live == ADAPTIVE_WAN_SMOKE[seed]
 
 
 def test_redirect_cache_serves_join_redirects():

@@ -1,7 +1,7 @@
 """Direct coverage of the pluggable latency models.
 
-Constant / uniform / lan_wan were previously exercised only indirectly through
-full simulations.  These tests pin down the properties the harness relies on:
+Uniform / lan_wan were previously exercised only indirectly through full
+simulations.  These tests pin down the properties the harness relies on:
 seeded determinism (two equally seeded draws produce identical sequences),
 boundedness (every sample stays inside the configured interval), and the
 lan_wan site partition being a stable, pure function of the address.
@@ -13,24 +13,19 @@ import random
 
 import pytest
 
-from repro.sim.network import (
-    LATENCY_MODELS,
-    ConstantLatency,
-    LanWanLatency,
-    UniformLatency,
-    latency_model_from_params,
-)
+from repro.sim.network import LanWanLatency, UniformLatency
 
 
 # --------------------------------------------------------------------------- constant
+# A constant latency is the degenerate uniform band ``UniformLatency(x, x)``.
 def test_constant_latency_is_constant_and_rng_free():
-    model = ConstantLatency(0.0042)
+    model = UniformLatency(0.0042, 0.0042)
     assert [model.sample(None, "a", "b") for _ in range(10)] == [0.0042] * 10
 
 
 def test_constant_latency_rejects_negative_values():
     with pytest.raises(ValueError):
-        ConstantLatency(-0.001).validate()
+        UniformLatency(-0.001, -0.001).validate()
 
 
 # --------------------------------------------------------------------------- uniform
@@ -125,34 +120,3 @@ def test_lan_wan_single_site_degenerates_to_pure_lan():
         for destination in addresses:
             assert model.site_of(source) == 0 == model.site_of(destination)
             assert 0.0005 <= model.sample(rng, source, destination) <= 0.003
-
-
-# --------------------------------------------------------------------------- flat-params factory
-def test_latency_model_from_params_builds_each_model():
-    constant = latency_model_from_params("constant", value=0.002)
-    assert isinstance(constant, ConstantLatency) and constant.value == 0.002
-    uniform = latency_model_from_params("uniform", low=0.001, high=0.004)
-    assert isinstance(uniform, UniformLatency) and uniform.high == 0.004
-    wan = latency_model_from_params(
-        "lan_wan", sites=3, lan_low=0.001, lan_high=0.002, wan_low=0.05, wan_high=0.09
-    )
-    assert isinstance(wan, LanWanLatency)
-    assert wan.sites == 3
-    assert (wan.lan.low, wan.lan.high) == (0.001, 0.002)
-    assert (wan.wan.low, wan.wan.high) == (0.05, 0.09)
-
-
-def test_latency_model_from_params_defaults_and_errors():
-    wan = latency_model_from_params("lan_wan")
-    assert wan == LanWanLatency()
-    with pytest.raises(ValueError, match="unknown latency model"):
-        latency_model_from_params("satellite")
-    with pytest.raises(ValueError, match="unknown lan_wan parameters"):
-        latency_model_from_params("lan_wan", sites=2, bogus=1)
-    with pytest.raises(ValueError):  # validation runs on the built model
-        latency_model_from_params("constant", value=-1.0)
-
-
-# --------------------------------------------------------------------------- registry
-def test_registry_exposes_all_three_models():
-    assert set(LATENCY_MODELS) == {"constant", "uniform", "lan_wan"}

@@ -12,16 +12,23 @@ def test_free_peer_pool_acquire_release():
     from repro.sim.engine import Simulator
     from repro.sim.network import Network, NetworkConfig
     from repro.sim.randomness import RngStreams
+    from repro.transport.endpoint import Endpoint
 
     sim = Simulator()
     network = Network(sim, RngStreams(0).stream("net"), NetworkConfig())
     pool = FreePeerPool(sim, network, "pool")
+    client = Endpoint(sim, network, "client")
     pool.add("peerA")
     pool.add("peerA")  # duplicates ignored
     assert pool.available() == 1
-    assert pool.rpc_pool_acquire({}, None) == {"address": "peerA"}
-    assert pool.rpc_pool_acquire({}, None) == {"address": None}
-    pool.rpc_pool_release({"address": "peerA"}, None)
+
+    def exchange():
+        first = yield client.call("pool", "pool_acquire", {})
+        second = yield client.call("pool", "pool_acquire", {})
+        yield client.call("pool", "pool_release", {"address": "peerA"})
+        return first, second
+
+    assert sim.run_process(exchange()) == ({"address": "peerA"}, {"address": None})
     assert pool.available() == 1
 
 

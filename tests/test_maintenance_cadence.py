@@ -3,26 +3,22 @@
 The cadence controllers are deterministic state machines, so their back-off /
 tighten transitions, bounds and RTT seeding are pinned down exactly; the
 redirect cache's ring geometry (closest predecessor, wrap-around, TTL and
-eviction) is covered against hand-computed distances; and the policy factory
-plus the ``MaintenanceSpec -> IndexConfig`` resolution mirror the LatencySpec
-tests in ``tests/test_scenarios.py``.
+eviction) is covered against hand-computed distances; and the controllers the
+``adaptive_maintenance`` switch hands out are pinned for both settings.
 """
 
 import pytest
 
-from repro.harness.scenarios import MaintenanceSpec
-from repro.index.config import default_config
+from repro.harness.scenarios import get_scenario
 from repro.maintenance import (
-    FIXED_MAINTENANCE,
     AdaptiveCadence,
     FixedCadence,
-    MaintenancePolicy,
     RedirectCache,
     RttScaledCadence,
     backward_distance,
-    maintenance_policy_from_params,
     rtt_scaled_period,
 )
+from repro.maintenance import adaptive
 from repro.sim.engine import Simulator
 from repro.sim.network import LanWanLatency, Network, NetworkConfig, UniformLatency
 from repro.transport.endpoint import Endpoint
@@ -127,7 +123,8 @@ def test_network_observed_rtt_seeds_from_nominal_then_tracks_samples():
         network._latency("a", "b")
     observed = network.observed_rtt()
     assert 0.02 <= observed <= 0.06
-    assert network.stats.mean_latency() == pytest.approx(observed / 2.0)
+    stats = network.stats
+    assert stats.latency_sum / stats.latency_samples == pytest.approx(observed / 2.0)
 
 
 def test_lan_wan_nominal_latency_weights_cross_site_probability():
@@ -193,88 +190,50 @@ def test_redirect_cache_rejects_nonsense_parameters():
         RedirectCache(size=4, ttl=0.0)
 
 
-# --------------------------------------------------------------------------- policy + spec resolution
-def test_policy_factory_resolves_presets_and_overrides():
-    fixed = maintenance_policy_from_params("fixed")
-    assert fixed == FIXED_MAINTENANCE
-    adaptive = maintenance_policy_from_params("adaptive")
-    assert adaptive.validation == "adaptive"
-    assert adaptive.cadence == "rtt_scaled"
-    assert adaptive.redirect_cache_size > 0
-    tweaked = maintenance_policy_from_params("adaptive", redirect_cache_size=0)
-    assert tweaked.redirect_cache_size == 0
-    assert tweaked.validation == "adaptive"
-
-
-def test_policy_factory_rejects_unknown_names_and_params():
-    with pytest.raises(ValueError, match="unknown maintenance policy"):
-        maintenance_policy_from_params("bogus")
-    with pytest.raises(ValueError, match="unknown maintenance parameters"):
-        maintenance_policy_from_params("adaptive", not_a_knob=1)
-    with pytest.raises(ValueError):
-        maintenance_policy_from_params("adaptive", backoff_growth=0.5)
-
-
+# --------------------------------------------------------------------------- the adaptive switch
 def test_policy_validation_controller_shapes():
-    policy = MaintenancePolicy(validation="adaptive", backoff_max=8.0)
-    controller = policy.validation_controller(4.0)
+    controller = adaptive.validation_cadence(True, 4.0)
     assert isinstance(controller, AdaptiveCadence)
-    assert controller.max_factor == 8.0
-    assert isinstance(FIXED_MAINTENANCE.validation_controller(4.0), FixedCadence)
+    assert (controller.base, controller.max_factor) == (4.0, 4.0)
+    assert isinstance(adaptive.validation_cadence(False, 4.0), FixedCadence)
 
 
 def test_policy_router_controller_shapes():
-    policy = MaintenancePolicy(router="adaptive", router_backoff_max=6.0)
-    controller = policy.router_controller(16.0)
+    controller = adaptive.router_cadence(True, 16.0)
     assert isinstance(controller, AdaptiveCadence)
     assert controller.max_factor == 6.0
     assert controller.base == 16.0
-    assert isinstance(FIXED_MAINTENANCE.router_controller(16.0), FixedCadence)
+    assert isinstance(adaptive.router_cadence(False, 16.0), FixedCadence)
 
 
 def test_adaptive_preset_enables_router_and_freshness():
-    adaptive = maintenance_policy_from_params("adaptive")
-    assert adaptive.router == "adaptive"
-    assert adaptive.freshness_factor > 0
-    # The fixed policy keeps both mechanisms off.
-    assert FIXED_MAINTENANCE.router == "fixed"
-    assert FIXED_MAINTENANCE.freshness_factor == 0.0
-    assert FIXED_MAINTENANCE.validation_freshness(8.0) == 0.0
-    assert adaptive.validation_freshness(8.0) == adaptive.freshness_factor * 8.0
-
-
-def test_policy_rejects_bad_router_and_freshness_settings():
-    with pytest.raises(ValueError, match="unknown router mode"):
-        MaintenancePolicy(router="bogus").validate()
-    with pytest.raises(ValueError, match="freshness_factor"):
-        MaintenancePolicy(freshness_factor=-1.0).validate()
-    with pytest.raises(ValueError, match="router_backoff_max"):
-        MaintenancePolicy(router_backoff_max=0.5).validate()
+    assert adaptive.validation_freshness(True, 8.0) == 1.5 * 8.0
+    assert adaptive.passive_window(True, 4.0) == 1.5 * 4.0
+    cache = adaptive.build_redirect_cache(True)
+    assert (cache.size, cache.ttl) == (16, 30.0)
+    # Off keeps every mechanism off.
+    assert adaptive.validation_freshness(False, 8.0) is None
+    assert adaptive.passive_window(False, 4.0) is None
+    assert adaptive.build_redirect_cache(False) is None
+    # The shared back-off tuning the adaptive cells were measured with.
+    controller = adaptive.validation_cadence(True, 4.0)
+    assert (controller.growth, controller.success_threshold) == (2.0, 2)
 
 
 def test_policy_maintenance_interval_fixed_returns_plain_float():
-    assert FIXED_MAINTENANCE.maintenance_interval(4.0, lambda: 0.1) == 4.0
-    interval = MaintenancePolicy(cadence="rtt_scaled").maintenance_interval(4.0, lambda: 0.1)
+    assert adaptive.maintenance_interval(False, 4.0, lambda: 0.1) == 4.0
+    interval = adaptive.maintenance_interval(True, 4.0, lambda: 0.1)
     assert callable(interval)
     assert interval() == 2.0  # WAN round trip -> floor 0.5
+    # A LAN round trip at the 4 ms reference keeps the base period.
+    assert adaptive.maintenance_interval(True, 4.0, lambda: 0.004)() == 4.0
 
 
 def test_maintenance_spec_resolves_into_index_config():
-    spec = MaintenanceSpec(policy="adaptive", params={"backoff_max": 6.0})
-    policy = spec.build_policy()
-    assert policy.backoff_max == 6.0
-    assert MaintenanceSpec().build_policy() is None
-    with pytest.raises(ValueError, match="unknown maintenance policy"):
-        MaintenanceSpec(policy="bogus").build_policy()
-
-
-def test_index_config_carries_and_validates_the_policy():
-    config = default_config(maintenance=maintenance_policy_from_params("adaptive"))
-    assert config.maintenance_policy.validation == "adaptive"
-    # The default config falls back to the fixed policy object.
-    assert default_config().maintenance_policy is FIXED_MAINTENANCE
-    with pytest.raises(ValueError):
-        default_config(maintenance=MaintenancePolicy(validation="bogus"))
+    smoke = get_scenario("smoke")
+    assert not smoke.index_config().adaptive_maintenance
+    adaptive_smoke = smoke.with_(config={**smoke.config, "adaptive_maintenance": True})
+    assert adaptive_smoke.index_config().adaptive_maintenance
 
 
 # --------------------------------------------------------------------------- Endpoint.every with callable periods

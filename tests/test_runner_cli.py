@@ -17,15 +17,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.cli import main
 from repro.harness.runner import run_cells, run_named
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
 
 
 # ------------------------------------------------------------------ --list

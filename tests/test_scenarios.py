@@ -17,7 +17,6 @@ from repro.harness.runner import (
 )
 from repro.harness.scenarios import (
     ChurnSpec,
-    LatencySpec,
     PhaseSpec,
     QueryMixSpec,
     ScenarioSpec,
@@ -30,7 +29,7 @@ from repro.harness.scenarios import (
     scenario_names,
     suite_names,
 )
-from repro.sim.network import LanWanLatency, UniformLatency
+from repro.sim.network import LanWanLatency, NetworkConfig, UniformLatency
 
 
 TINY = ScenarioSpec(
@@ -138,29 +137,28 @@ def test_wan_scenarios_and_suite_registered():
     assert suite.bench_name == "scale_wan"
 
 
+def _with_latency(spec, model):
+    return spec.with_(config={**spec.config, "network": NetworkConfig(latency_model=model)})
+
+
 def test_latency_spec_resolves_into_network_config():
-    spec = TINY.with_(
-        latency=LatencySpec(
-            model="lan_wan",
-            params={"sites": 3, "wan_low": 0.04, "wan_high": 0.09},
-        )
-    )
+    wan = LanWanLatency(sites=3, wan=UniformLatency(0.04, 0.09))
+    spec = _with_latency(TINY, wan)
     config = spec.index_config()
-    model = config.network.latency_model
-    assert isinstance(model, LanWanLatency)
-    assert model.sites == 3
-    assert (model.wan.low, model.wan.high) == (0.04, 0.09)
+    assert config.network.latency_model == wan
     # The default spec leaves the network untouched (the paper's LAN band).
     assert TINY.index_config().network.latency_model == UniformLatency(0.0005, 0.003)
-    with pytest.raises(ValueError, match="unknown latency model"):
-        TINY.with_(latency=LatencySpec(model="bogus")).index_config()
+    with pytest.raises(ValueError, match="at least one site"):
+        _with_latency(TINY, LanWanLatency(sites=0)).index_config()
 
 
 def test_latency_spec_uniform_model():
-    spec = TINY.with_(latency=LatencySpec(model="uniform", params={"low": 0.001, "high": 0.002}))
+    spec = _with_latency(TINY, UniformLatency(0.001, 0.002))
     model = spec.index_config().network.latency_model
     assert isinstance(model, UniformLatency)
     assert (model.low, model.high) == (0.001, 0.002)
+    with pytest.raises(ValueError, match="latency bounds"):
+        _with_latency(TINY, UniformLatency(0.002, 0.001)).index_config()
 
 
 def test_flash_crowd_spec_merges_into_build_schedule():
@@ -211,10 +209,7 @@ def test_correlated_failures_phase_kills_members():
 
 
 def test_run_spec_wan_records_site_diagnostics():
-    spec = TINY.with_(
-        name="tiny-wan",
-        latency=LatencySpec(model="lan_wan", params={"sites": 3}),
-    )
+    spec = _with_latency(TINY.with_(name="tiny-wan"), LanWanLatency(sites=3))
     result = run_spec(spec, seed=0)
     # RPCs are attributed to originating sites and sum to the RPC total.
     assert result.per_site_rpcs

@@ -19,7 +19,6 @@ from __future__ import annotations
 import pytest
 
 from repro import PRingIndex, default_config
-from repro.transport.api import TRANSPORT_ENV_VAR
 from tests.conftest import build_cluster
 
 CHECK_ROUTINGS = ("replica_lb", "cached")
@@ -69,10 +68,9 @@ def test_routing_equivalence_under_500_step_churn(engine):
     assert index.metrics.count("serve_cache_invalidate") >= 1
 
 
-def test_routing_equivalence_under_churn_asyncio(monkeypatch):
+def test_routing_equivalence_under_churn_asyncio():
     """The same contract holds over real sockets (smaller schedule: the
     asyncio substrate runs on the wall clock)."""
-    monkeypatch.delenv(TRANSPORT_ENV_VAR, raising=False)
     config = default_config(seed=92, transport="asyncio")
     config.network.rpc_timeout = 2.0
     index = PRingIndex(config)

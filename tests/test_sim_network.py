@@ -9,14 +9,20 @@ from repro.sim.randomness import RngStreams
 
 
 class EchoNode(Endpoint):
-    def rpc_echo(self, payload, request):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register_handler("echo", self._echo)
+        self.register_handler("slow", self._slow)
+        self.register_handler("broken", self._broken)
+
+    def _echo(self, payload, request):
         return {"echo": payload, "me": self.address}
 
-    def rpc_slow(self, payload, request):
+    def _slow(self, payload, request):
         yield self.sim.timeout(payload["delay"])
         return {"done": True}
 
-    def rpc_broken(self, payload, request):
+    def _broken(self, payload, request):
         raise ValueError("handler exploded")
 
 

@@ -57,9 +57,8 @@ def _end_state(result: dict, frozen: dict) -> dict:
     }
 
 
-def _assert_resume_parity(scenario, seed, frozen, tmp_path, monkeypatch):
+def _assert_resume_parity(scenario, seed, frozen, tmp_path):
     """Cold-with-capture then warm resume; both must equal the frozen plain run."""
-    monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
     spec = get_scenario(scenario)
     snapshot_dir = tmp_path / "snapshots"
 
@@ -85,8 +84,8 @@ def _assert_resume_parity(scenario, seed, frozen, tmp_path, monkeypatch):
     list(_frozen_cells("snapshot_parity_baseline_smoke.json")),
     ids=lambda value: value if isinstance(value, str) else None,
 )
-def test_smoke_resume_parity(scenario, seed, frozen, engine, tmp_path, monkeypatch):
-    _assert_resume_parity(scenario, seed, frozen, tmp_path, monkeypatch)
+def test_smoke_resume_parity(scenario, seed, frozen, engine, tmp_path):
+    _assert_resume_parity(scenario, seed, frozen, tmp_path)
 
 
 FULL_MATRIX = bool(os.environ.get("REPRO_PARITY_FULL"))
@@ -100,8 +99,8 @@ FULL_MATRIX = bool(os.environ.get("REPRO_PARITY_FULL"))
     list(_frozen_cells("snapshot_parity_baseline_scale300.json")),
     ids=lambda value: value if isinstance(value, str) else None,
 )
-def test_scale_300_resume_parity(scenario, seed, frozen, tmp_path, monkeypatch):
-    _assert_resume_parity(scenario, seed, frozen, tmp_path, monkeypatch)
+def test_scale_300_resume_parity(scenario, seed, frozen, tmp_path):
+    _assert_resume_parity(scenario, seed, frozen, tmp_path)
 
 
 def test_plain_run_unchanged_by_capture(tmp_path):

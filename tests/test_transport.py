@@ -27,7 +27,6 @@ from repro.transport import (
     RpcTimeout,
     make_transport,
 )
-from repro.transport.api import TRANSPORT_ENV_VAR
 from repro.transport.codec import decode_message, encode_message
 
 
@@ -35,18 +34,22 @@ class EchoEndpoint(Endpoint):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.casts_received = []
+        self.register_handler("echo", self._echo)
+        self.register_handler("slow", self._slow)
+        self.register_handler("broken", self._broken)
+        self.register_handler("note", self._note)
 
-    def rpc_echo(self, payload, request):
+    def _echo(self, payload, request):
         return {"echo": payload, "me": self.address}
 
-    def rpc_slow(self, payload, request):
+    def _slow(self, payload, request):
         yield self.sim.timeout(payload["delay"])
         return {"done": True}
 
-    def rpc_broken(self, payload, request):
+    def _broken(self, payload, request):
         raise ValueError("handler exploded")
 
-    def rpc_note(self, payload, request):
+    def _note(self, payload, request):
         self.casts_received.append(payload)
 
 
@@ -203,8 +206,7 @@ def test_asyncio_clock_run_process(aclock):
 
 # ----------------------------------------------------------------- asyncio transport
 @pytest.fixture
-def asyncio_env(monkeypatch):
-    monkeypatch.delenv(TRANSPORT_ENV_VAR, raising=False)
+def asyncio_env():
     config = default_config(transport="asyncio")
     config.network.rpc_timeout = 0.5
     transport = make_transport(config)
@@ -292,20 +294,7 @@ def test_make_transport_selects_sim_by_default():
     assert isinstance(transport.clock, Simulator)
 
 
-def test_make_transport_env_override(monkeypatch):
-    from repro.transport.asyncio_transport import AsyncioClock
-
-    monkeypatch.setenv(TRANSPORT_ENV_VAR, "asyncio")
-    transport = make_transport(default_config())
-    try:
-        assert transport.name == "asyncio"
-        assert isinstance(transport.clock, AsyncioClock)
-    finally:
-        transport.shutdown()
-
-
-def test_make_transport_rejects_unknown(monkeypatch):
-    monkeypatch.delenv(TRANSPORT_ENV_VAR, raising=False)
+def test_make_transport_rejects_unknown():
     with pytest.raises(ValueError):
         make_transport(default_config().copy(transport="pigeon"))
 
